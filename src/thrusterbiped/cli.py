@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import ScenarioConfig, default_scenario, load_config
+from .config import GaitConfig, ScenarioConfig, default_scenario, load_config
 from .errors import (
     BipedError,
     ConfigError,
@@ -70,18 +71,7 @@ def cmd_design_gait(args) -> int:
     cfg = default_scenario()
     params = cfg.model.to_params()
     gait = design_gait(spec, params)
-    fragment = {
-        "gait": {
-            "bezier": [[float(v) for v in row] for row in gait.bezier],
-            "theta_plus": float(gait.theta_plus),
-            "theta_minus": float(gait.theta_minus),
-            "kp": [float(v) for v in gait.kp],
-            "kd": [float(v) for v in gait.kd],
-            "u_max": [float(v) for v in gait.u_max],
-            "x_max": [float(v) for v in gait.x_max],
-            "q3dot_start": float(gait.q3dot_start),
-        }
-    }
+    fragment = {"gait": dataclasses.asdict(GaitConfig.from_gait(gait))}
     text = json.dumps(fragment, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -91,10 +81,29 @@ def cmd_design_gait(args) -> int:
     return EXIT_OK
 
 
+def _sweep_dir(level: float) -> str:
+    return f"umax_{level:g}"
+
+
+def _parse_levels(text: str) -> list[float]:
+    """Torque caps from a comma-separated list; each needs its own directory."""
+    try:
+        levels = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--u-max: {exc}") from exc
+    if not levels:
+        raise ConfigError("sweep needs at least one u_max level")
+    dirs = [_sweep_dir(lv) for lv in levels]
+    dup = sorted({d for d in dirs if dirs.count(d) > 1})
+    if dup:
+        raise ConfigError(f"--u-max levels repeat: {', '.join(dup)}")
+    return levels
+
+
 def _sweep_level(cfg: ScenarioConfig, level: float, out_root: str):
     sub = copy.deepcopy(cfg)
     sub.gait.u_max = [level, level]
-    out_dir = os.path.join(out_root, f"umax_{level:g}")
+    out_dir = os.path.join(out_root, _sweep_dir(level))
     log = run_walk(sub)
     write_logs(log, out_dir, sub)
     max_u = 0.0
@@ -113,11 +122,9 @@ def _sweep_level(cfg: ScenarioConfig, level: float, out_root: str):
 
 
 def cmd_sweep(args) -> int:
+    levels = _parse_levels(args.u_max)
     cfg = load_config(args.config, apply_env=not args.no_env) if args.config \
         else default_scenario()
-    levels = [float(v) for v in args.u_max.split(",") if v.strip()]
-    if not levels:
-        raise ConfigError("sweep needs at least one u_max level")
     out_root = args.output_dir or os.path.join(cfg.io.output_dir, "sweep")
     os.makedirs(out_root, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(4, len(levels))) as pool:
@@ -143,9 +150,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config, apply_env=not args.no_env)
-    cfg.gait.to_gait()
-    cfg.model.to_params()
+    load_config(args.config, apply_env=not args.no_env)
     sys.stdout.write("config ok\n")
     return EXIT_OK
 

@@ -2,7 +2,10 @@
 
 A scenario file must spell out every key (no silent defaults on load);
 `default_scenario()` is the one source of shipped defaults and `save_config`
-always writes the complete tree, so round-trips are exact.  Environment
+always writes the complete tree, so round-trips are exact.  The `model`
+section is `params.ModelParams` itself; the other sections are the
+dataclasses below.  `validate()` checks the whole tree, gait and model
+included, and reports every problem as `ConfigError`.  Environment
 variables with the ``BIPED_`` prefix override single keys for CI use:
 ``BIPED_SIM__N_STEPS=3`` maps to ``sim.n_steps``; values parse as JSON with a
 plain-string fallback.
@@ -23,23 +26,6 @@ from .params import ModelParams
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "BIPED_"
-
-
-@dataclass
-class ModelConfig:
-    m_T: float = 0.300
-    m_h: float = 0.200
-    m_k: float = 0.100
-    l_T: float = 0.30
-    l: float = 0.6325
-    g: float = 9.81
-    d: float = 100.0
-    f_th_max: float = 40.0
-
-    def to_params(self) -> ModelParams:
-        p = ModelParams(**dataclasses.asdict(self))
-        p.validate()
-        return p
 
 
 @dataclass
@@ -65,13 +51,26 @@ class GaitConfig:
             q3dot_start=float(self.q3dot_start),
         )
 
+    @classmethod
+    def from_gait(cls, gait: GaitParams) -> GaitConfig:
+        """Plain-list copy of a designed gait, as a scenario file stores it."""
+        return cls(
+            bezier=[[float(v) for v in row] for row in gait.bezier],
+            theta_plus=float(gait.theta_plus),
+            theta_minus=float(gait.theta_minus),
+            kp=[float(v) for v in gait.kp],
+            kd=[float(v) for v in gait.kd],
+            u_max=[float(v) for v in gait.u_max],
+            x_max=[float(v) for v in gait.x_max],
+            q3dot_start=float(gait.q3dot_start),
+        )
+
 
 @dataclass
 class ErgConfig:
     kappa: float = 100.0
     rate_cap: float = 50.0
     sign_eps: float = 0.01
-    mode_literal_xw: bool = False
     enabled: bool = True
 
 
@@ -97,7 +96,6 @@ class SimConfig:
     n_steps: int = 10
     ds_envelope: float = 0.02
     mu_s: float = 0.3
-    seed: int = 0
 
 
 @dataclass
@@ -109,7 +107,7 @@ class IoConfig:
 @dataclass
 class ScenarioConfig:
     schema_version: int = SCHEMA_VERSION
-    model: ModelConfig = field(default_factory=ModelConfig)
+    model: ModelParams = field(default_factory=ModelParams)
     gait: GaitConfig = field(default_factory=GaitConfig)
     erg: ErgConfig = field(default_factory=ErgConfig)
     nmpc: NmpcConfig = field(default_factory=NmpcConfig)
@@ -139,11 +137,16 @@ class ScenarioConfig:
             raise ConfigError("nmpc.T_s must be positive")
         if self.io.log_decimation < 1:
             raise ConfigError("io.log_decimation must be >= 1")
-        self.model.to_params()
+        for name, check in (("model", self.model.validate),
+                            ("gait", self.gait.to_gait)):
+            try:
+                check()
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
 
 _SECTION_TYPES = {
-    "model": ModelConfig, "gait": GaitConfig, "erg": ErgConfig,
+    "model": ModelParams, "gait": GaitConfig, "erg": ErgConfig,
     "nmpc": NmpcConfig, "sim": SimConfig, "io": IoConfig,
 }
 
@@ -233,24 +236,14 @@ def save_config(cfg: ScenarioConfig, path: str) -> None:
 
 
 def default_scenario() -> ScenarioConfig:
-    """Shipped tuning: see configs/default.json, generated from this."""
+    """Shipped tuning: default model parameters and the default gait design.
+
+    No scenario file ships with the package; write one with `save_config`.
+    """
     from .gait import GaitDesignSpec, design_gait
 
-    model = ModelConfig()
-    params = model.to_params()
-    gait = design_gait(GaitDesignSpec(), params)
-    cfg = ScenarioConfig(
-        model=model,
-        gait=GaitConfig(
-            bezier=[[float(v) for v in row] for row in gait.bezier],
-            theta_plus=float(gait.theta_plus),
-            theta_minus=float(gait.theta_minus),
-            kp=[float(v) for v in gait.kp],
-            kd=[float(v) for v in gait.kd],
-            u_max=[float(v) for v in gait.u_max],
-            x_max=[float(v) for v in gait.x_max],
-            q3dot_start=float(gait.q3dot_start),
-        ),
-    )
+    model = ModelParams()
+    gait = design_gait(GaitDesignSpec(), model.to_params())
+    cfg = ScenarioConfig(model=model, gait=GaitConfig.from_gait(gait))
     cfg.validate()
     return cfg

@@ -342,6 +342,27 @@ def extend_pinned_state(
     return q_e, dq_e
 
 
+def contact_solve(
+    D: np.ndarray, J: np.ndarray, rhs_dyn: np.ndarray, rhs_con: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the contact saddle-point system ``[[D, -J^T], [J, 0]]``.
+
+    ``D x - J^T lam = rhs_dyn`` and ``J x = rhs_con``; the right-hand sides
+    may carry several columns.  Returns (x, lam).  Used for the constrained
+    flow (x = accelerations, lam = forces) and for the impact (x = post-impact
+    velocities, lam = impulses).
+    """
+    n, m = D.shape[0], J.shape[0]
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = D
+    kkt[:n, n:] = -J.T
+    kkt[n:, :n] = J
+    if np.linalg.cond(kkt) > 1e12:
+        raise SingularContactError("contact KKT matrix is ill-conditioned")
+    sol = np.linalg.solve(kkt, np.concatenate([rhs_dyn, rhs_con]))
+    return sol[:n], sol[n:]
+
+
 def ss_contact_force(
     q: np.ndarray, dq: np.ndarray, u: np.ndarray, params: ModelParams
 ) -> np.ndarray:
@@ -355,12 +376,7 @@ def ss_contact_force(
                                     np.zeros(2), params)
     terms = ext_dynamics(q_e, dq_e, params)
     ck = contact_kinematics(q_e, dq_e, params)
-    J1 = ck.J[:2]
-    rhs = terms.B @ np.asarray(u, dtype=float) - terms.H
-    Di_JT = np.linalg.solve(terms.D, J1.T)
-    Di_rhs = np.linalg.solve(terms.D, rhs)
-    try:
-        lam = np.linalg.solve(J1 @ Di_JT, -(ck.jdot_qdot[:2] + J1 @ Di_rhs))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - J1 full rank
-        raise SingularContactError(str(exc)) from exc
+    _, lam = contact_solve(terms.D, ck.J[:2],
+                           terms.B @ np.asarray(u, dtype=float) - terms.H,
+                           -ck.jdot_qdot[:2])
     return lam

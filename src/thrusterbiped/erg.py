@@ -40,12 +40,6 @@ def pd_accel(y: np.ndarray, dq_a: np.ndarray, w: np.ndarray, gait: GaitParams) -
     return gait.kp * y + gait.kd * (dq_a - w)
 
 
-def fbl_torque(od: OutputData, v: np.ndarray) -> np.ndarray:
-    """Exact feedback-linearizing torque: ddy = -v under this input."""
-    W = decoupling_or_raise(od)
-    return np.linalg.solve(W, -(od.Lf2h + v))
-
-
 def partitioned_torque(
     x_s: np.ndarray,
     dw_a: np.ndarray,
@@ -71,17 +65,8 @@ def partitioned_torque(
     return beta1 @ (dw_a - v) + beta2
 
 
-def constraint_data(
-    od: OutputData,
-    gait: GaitParams,
-    literal_center: bool = False,
-) -> ConstraintData:
-    """Torque and state box as affine rows in (x_a, x_w).
-
-    x_w = (h_d, w) by default; with literal_center=True the position block is
-    dropped and folded into the constant column, so x_w = (0, w) reproduces
-    the same row values with a shifted ellipsoid center.
-    """
+def constraint_data(od: OutputData, gait: GaitParams) -> ConstraintData:
+    """Torque and state box as affine rows in (x_a, x_w), x_w = (h_d, w)."""
     W = decoupling_or_raise(od)
     Wi_kp = np.linalg.solve(W, np.diag(gait.kp))
     Wi_kd = np.linalg.solve(W, np.diag(gait.kd))
@@ -101,24 +86,18 @@ def constraint_data(
     K_block = np.hstack([Wi_kp, Wi_kd])  # (2, 4)
     C_x[8:10] = K_block
     C_x[10:12] = -K_block
+    C_w[8:10, 0:2] = -Wi_kp
+    C_w[10:12, 0:2] = Wi_kp
     C_w[8:10, 2:4] = -Wi_kd
     C_w[10:12, 2:4] = Wi_kd
     C_limit[8:10] = gait.u_max + wi_l
     C_limit[10:12] = gait.u_max - wi_l
-    if literal_center:
-        C_limit[8:10] += -Wi_kp @ od.h_d
-        C_limit[10:12] += Wi_kp @ od.h_d
-    else:
-        C_w[8:10, 0:2] = -Wi_kp
-        C_w[10:12, 0:2] = Wi_kp
 
     P = 0.5 * np.diag(np.concatenate([gait.kp, gait.kd]))
     return ConstraintData(C_x, C_w, C_limit, P)
 
 
-def reference_point(od: OutputData, w: np.ndarray, literal_center: bool) -> np.ndarray:
-    if literal_center:
-        return np.concatenate([np.zeros(2), w])
+def reference_point(od: OutputData, w: np.ndarray) -> np.ndarray:
     return np.concatenate([od.h_d, w])
 
 
@@ -195,7 +174,6 @@ class SsController:
         kappa: float = 100.0,
         rate_cap: float = 200.0,
         sign_eps: float = 1e-2,
-        literal_center: bool = False,
         governor_enabled: bool = True,
     ) -> None:
         self.gait = gait
@@ -203,7 +181,6 @@ class SsController:
         self.kappa = kappa
         self.rate_cap = rate_cap
         self.sign_eps = sign_eps
-        self.literal_center = literal_center
         self.governor_enabled = governor_enabled
 
     def initial_w(self, x_s: np.ndarray) -> np.ndarray:
@@ -220,9 +197,9 @@ class SsController:
         w = z[6:8]
         terms = ss_dynamics(x_s[:3], x_s[3:], self.params)
         od = output_data(x_s, self.gait, self.params, terms=terms)
-        cdata = constraint_data(od, self.gait, self.literal_center)
+        cdata = constraint_data(od, self.gait)
         x_a = np.concatenate([x_s[1:3], x_s[4:6]])
-        x_w = reference_point(od, w, self.literal_center)
+        x_w = reference_point(od, w)
         V = lyapunov_value(x_a, x_w, cdata.P)
         Gamma = gamma_bound(x_w, cdata)
         if self.governor_enabled:

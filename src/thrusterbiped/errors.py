@@ -29,13 +29,9 @@ class EventLocationError(BipedError):
     """Guard root bracketing/refinement failed."""
 
 
-class ConfigError(BipedError):
-    """Scenario configuration missing, malformed, or containing unknown keys."""
+class ConfigError(BipedError, ValueError):
+    """Scenario configuration missing, malformed, invalid, or with unknown keys."""
 
 
 class NumericalFailureError(BipedError):
     """Non-finite state or failed linear algebra during simulation."""
-
-
-class FallAbortError(BipedError):
-    """Walk aborted by the fall detector; partial logs were kept."""

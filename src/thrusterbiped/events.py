@@ -8,8 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import contact_kinematics, ext_dynamics
-from .errors import EventLocationError, SingularImpactError
+from .dynamics import contact_kinematics, contact_solve, ext_dynamics
+from .errors import EventLocationError, SingularContactError, SingularImpactError
 from .params import ModelParams
 
 # Leg-role swap under the frozen angle conventions: the new stance angle is
@@ -119,17 +119,11 @@ def impact_map(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> Impact
     dq_e = np.asarray(dq_e, dtype=float)
     D = ext_dynamics(q_e, dq_e, params).D
     J = contact_kinematics(q_e, dq_e, params).J
-
-    M = np.zeros((9, 9))
-    M[:5, :5] = D
-    M[:5, 5:] = -J.T
-    M[5:, :5] = J
-    if np.linalg.cond(M) > 1e12:
-        raise SingularImpactError("impact KKT system is numerically singular")
-    rhs = np.zeros(9)
-    rhs[:5] = D @ dq_e
-    sol = np.linalg.solve(M, rhs)
-    return ImpactResult(sol[:5], sol[5:])
+    try:
+        dq_plus, impulse = contact_solve(D, J, D @ dq_e, np.zeros(4))
+    except SingularContactError as exc:
+        raise SingularImpactError("impact KKT system is numerically singular") from exc
+    return ImpactResult(dq_plus, impulse)
 
 
 def relabel(q_e: np.ndarray, dq_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

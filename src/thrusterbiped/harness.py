@@ -36,6 +36,14 @@ TRACE_COLUMNS = [
     "y1", "y2", "dy1", "dy2", "V", "Gamma", "w1", "w2", "s",
 ]
 
+STEP_COLUMNS = [
+    "step", "t_start", "ss_duration", "residual_post_impact",
+    "residual_ss_start", "residual_ratio", "start_diff_to_next",
+    "max_u2", "max_u3", "erg_saturations", "min_lam_n",
+    "max_cone_ratio", "max_f_th", "peak_normal_sum",
+    "ds_contact_violation", "nmpc_fallbacks",
+]
+
 SS_TIMEOUT = 5.0          # abort if a single step takes longer than this
 ARM_TRAVEL_FRACTION = 0.05  # swing-foot forward travel that arms the guard
 # Tracking error makes the swing foot graze the ground where the legs cross
@@ -103,7 +111,6 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
         kappa=cfg.erg.kappa,
         rate_cap=cfg.erg.rate_cap,
         sign_eps=cfg.erg.sign_eps,
-        literal_center=cfg.erg.mode_literal_xw,
         governor_enabled=cfg.erg.enabled,
     )
     n_int = max(1, int(round(cfg.sim.ds_envelope / cfg.nmpc.T_s)))
@@ -277,24 +284,14 @@ def step_metrics(log: GaitLog) -> list[dict]:
                 log.steps[i + 1].start_state - rec.start_state))
         else:
             diff = NAN
-        table.append({
-            "step": rec.index,
-            "t_start": rec.t_start,
-            "ss_duration": rec.ss_duration,
-            "residual_post_impact": rec.residual_post_impact,
-            "residual_ss_start": rec.residual_ss_start,
-            "residual_ratio": ratio,
-            "start_diff_to_next": diff,
-            "max_u2": float(rec.max_abs_u[0]),
-            "max_u3": float(rec.max_abs_u[1]),
-            "erg_saturations": rec.erg_saturations,
-            "min_lam_n": rec.min_lam_n,
-            "max_cone_ratio": rec.max_cone_ratio,
-            "max_f_th": rec.max_f_th,
-            "peak_normal_sum": rec.peak_normal_sum,
-            "ds_contact_violation": int(rec.ds_contact_violation),
-            "nmpc_fallbacks": rec.nmpc_fallbacks,
-        })
+        table.append(dict(zip(STEP_COLUMNS, (
+            rec.index, rec.t_start, rec.ss_duration, rec.residual_post_impact,
+            rec.residual_ss_start, ratio, diff,
+            float(rec.max_abs_u[0]), float(rec.max_abs_u[1]),
+            rec.erg_saturations, rec.min_lam_n, rec.max_cone_ratio,
+            rec.max_f_th, rec.peak_normal_sum,
+            int(rec.ds_contact_violation), rec.nmpc_fallbacks,
+        ), strict=True)))
     return table
 
 
@@ -339,19 +336,11 @@ def write_logs(log: GaitLog, out_dir: str, cfg: ScenarioConfig) -> dict[str, str
         os.replace(tmp, paths["trace"])
         written.append(paths["trace"])
 
-        table = step_metrics(log)
-        cols = list(table[0].keys()) if table else [
-            "step", "t_start", "ss_duration", "residual_post_impact",
-            "residual_ss_start", "residual_ratio", "start_diff_to_next",
-            "max_u2", "max_u3", "erg_saturations", "min_lam_n",
-            "max_cone_ratio", "max_f_th", "peak_normal_sum",
-            "ds_contact_violation", "nmpc_fallbacks",
-        ]
         tmp = paths["steps"] + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for entry in table:
-                fh.write(",".join(_fmt(entry[c]) for c in cols) + "\n")
+            fh.write(",".join(STEP_COLUMNS) + "\n")
+            for entry in step_metrics(log):
+                fh.write(",".join(_fmt(entry[c]) for c in STEP_COLUMNS) + "\n")
         os.replace(tmp, paths["steps"])
         written.append(paths["steps"])
 

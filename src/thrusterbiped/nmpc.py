@@ -19,8 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import contact_kinematics, ds_dynamics
-from .errors import SingularContactError
+from .dynamics import contact_kinematics, contact_solve, ds_dynamics
 from .params import ModelParams
 from .qp import INFEASIBLE, OPTIMAL, QpSolution, solve_qp
 
@@ -44,20 +43,9 @@ def ds_rhs(x_d: np.ndarray, eta: np.ndarray, params: ModelParams) -> DsForces:
     q, dq = x_d[:5], x_d[5:]
     terms = ds_dynamics(q, dq, params)
     ck = contact_kinematics(q, dq, params)
-
-    kkt = np.zeros((9, 9))
-    kkt[:5, :5] = terms.D
-    kkt[:5, 5:] = -ck.J.T
-    kkt[5:, :5] = ck.J
-    if np.linalg.cond(kkt) > 1e12:
-        raise SingularContactError("contact KKT matrix is ill-conditioned")
-
-    rhs = np.concatenate([
-        terms.B @ eta - terms.H,
-        -ck.jdot_qdot - params.d * (ck.J @ dq),
-    ])
-    sol = np.linalg.solve(kkt, rhs)
-    return DsForces(sol[:5], sol[5:])
+    ddq, lam = contact_solve(terms.D, ck.J, terms.B @ eta - terms.H,
+                             -ck.jdot_qdot - params.d * (ck.J @ dq))
+    return DsForces(ddq, lam)
 
 
 def ds_field(x_d: np.ndarray, eta: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -80,20 +68,11 @@ def ds_affine_maps(
     q, dq = x_d[:5], x_d[5:]
     terms = ds_dynamics(q, dq, params)
     ck = contact_kinematics(q, dq, params)
-
-    kkt = np.zeros((9, 9))
-    kkt[:5, :5] = terms.D
-    kkt[:5, 5:] = -ck.J.T
-    kkt[5:, :5] = ck.J
-    if np.linalg.cond(kkt) > 1e12:
-        raise SingularContactError("contact KKT matrix is ill-conditioned")
-
-    rhs = np.zeros((9, 1 + N_ETA))
-    rhs[:5, 0] = -terms.H
-    rhs[5:, 0] = -ck.jdot_qdot - params.d * (ck.J @ dq)
-    rhs[:5, 1:] = terms.B
-    sol = np.linalg.solve(kkt, rhs)
-    return sol[:5, 0], sol[:5, 1:], sol[5:, 0], sol[5:, 1:]
+    rhs_con = np.zeros((4, 1 + N_ETA))
+    rhs_con[:, 0] = -ck.jdot_qdot - params.d * (ck.J @ dq)
+    ddq, lam = contact_solve(terms.D, ck.J, np.column_stack([-terms.H, terms.B]),
+                             rhs_con)
+    return ddq[:, 0], ddq[:, 1:], lam[:, 0], lam[:, 1:]
 
 
 def linearize_discretize(
@@ -101,14 +80,13 @@ def linearize_discretize(
     x: np.ndarray,
     eta: np.ndarray,
     T_s: float,
-    B_exact: np.ndarray | None = None,
+    B_exact: np.ndarray,
     rel_step: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward-Euler discretization of the Jacobian linearization of f.
 
     x[k+1] ~ A x[k] + B eta[k] + c.  State Jacobian by central differences
-    with relative step; the input Jacobian is differenced too unless an exact
-    column map is supplied.
+    with relative step; the input Jacobian is the exact column map B_exact.
     """
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -124,21 +102,8 @@ def linearize_discretize(
         xm[j] -= h
         J[:, j] = (f(xp, eta) - f(xm, eta)) / (2.0 * h)
 
-    if B_exact is None:
-        m = eta.shape[0]
-        Bc = np.empty((n, m))
-        for j in range(m):
-            h = rel_step * max(1.0, abs(eta[j]))
-            ep = eta.copy()
-            em = eta.copy()
-            ep[j] += h
-            em[j] -= h
-            Bc[:, j] = (f(x, ep) - f(x, em)) / (2.0 * h)
-    else:
-        Bc = B_exact
-
     A = np.eye(n) + T_s * J
-    B = T_s * Bc
+    B = T_s * B_exact
     c = x + T_s * f0 - A @ x - B @ eta
     return A, B, c
 
@@ -151,7 +116,7 @@ def linearize_ds(
     B_exact = np.zeros((N_X, N_ETA))
     B_exact[5:, :] = G_ddq
     return linearize_discretize(
-        lambda xx, ee: ds_field(xx, ee, params), x_d, eta, T_s, B_exact=B_exact
+        lambda xx, ee: ds_field(xx, ee, params), x_d, eta, T_s, B_exact
     )
 
 
@@ -478,13 +443,14 @@ def simulate_ds(
             return ds_field(xx, eta, params)
 
         for _ in range(n_sub):
+            # the logged forces' solve also gives the first RK4 stage
             forces = ds_rhs(x, eta, params)
             lams.append(forces.lam.copy())
             etas.append(eta.copy())
             if forces.lam[1] <= 0.0 or forces.lam[3] <= 0.0:
                 violated = True
 
-            k1 = f(x)
+            k1 = np.concatenate([x[5:], forces.ddq])
             k2 = f(x + 0.5 * h * k1)
             k3 = f(x + 0.5 * h * k2)
             k4 = f(x + h * k3)

@@ -7,7 +7,7 @@ with zero rotary inertia.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # Catalog values for the reference vehicle, in grams / centimeters as the
 # hardware documentation lists them.  Converted to SI by default_model_params.
@@ -26,6 +26,8 @@ class ModelParams:
 
     d is the Baumgarte-style velocity damping used by the double-support
     constraint equations (1/s); f_th_max the thrust magnitude limit (N).
+    This dataclass is also the `model` section of a scenario config, so its
+    field names are scenario keys.
     """
 
     m_T: float = 0.300
@@ -44,6 +46,11 @@ class ModelParams:
     @property
     def weight(self) -> float:
         return self.total_mass * self.g
+
+    def to_params(self) -> ModelParams:
+        """Validated copy, independent of the scenario that holds this one."""
+        self.validate()
+        return replace(self)
 
     def validate(self) -> None:
         for name in ("m_T", "m_h", "m_k", "l_T", "l", "g"):

@@ -11,6 +11,7 @@ from math import comb, cos, sin
 
 import numpy as np
 
+from thrusterbiped.gait import decoupling_or_raise
 from thrusterbiped.params import ModelParams
 
 
@@ -168,6 +169,20 @@ def thrust_column_geometry(q_e: np.ndarray, params: ModelParams,
 # generic finite differences
 
 
+def line_derivative(fun, x: np.ndarray, v: np.ndarray, h: float = 1e-3) -> np.ndarray:
+    """d/ds fun(x + s v) at s = 0 by the fourth-order central stencil."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return (-fun(x + 2.0 * h * v) + 8.0 * fun(x + h * v)
+            - 8.0 * fun(x - h * v) + fun(x - 2.0 * h * v)) / (12.0 * h)
+
+
+def centre_of_mass_pinned(q: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Centre of mass of the pinned mass points (stance foot at the origin)."""
+    pts = mass_points_pinned(q, params)
+    return sum(m * p for m, p in pts) / sum(m for m, _ in pts)
+
+
 def fd_jacobian(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     f0 = np.atleast_1d(fun(x))
@@ -198,6 +213,16 @@ def bernstein_fd(coeffs: np.ndarray, s: float, h: float = 1e-5):
     vp = bernstein_value(coeffs, s + h)
     vm = bernstein_value(coeffs, s - h)
     return v0, (vp - vm) / (2.0 * h), (vp - 2.0 * v0 + vm) / (h * h)
+
+
+# ---------------------------------------------------------------------------
+# feedback linearization
+
+
+def fbl_torque(od, v: np.ndarray) -> np.ndarray:
+    """Exact feedback-linearizing torque: ddy = -v under this input."""
+    W = decoupling_or_raise(od)
+    return np.linalg.solve(W, -(od.Lf2h + v))
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,7 @@ def test_criterion_6e_governor_bound_matches_the_distance_oracle():
         x = np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5, 3)])
         od = output_data(x, gait, params)
         cdata = constraint_data(od, gait)
-        x_w = reference_point(od, rng.standard_normal(2), literal_center=False)
+        x_w = reference_point(od, rng.standard_normal(2))
         got = gamma_bound(x_w, cdata)
         want = min(
             oracles.gamma_projection(x_w, cdata.C_x, cdata.C_w,

@@ -5,15 +5,18 @@ import oracles
 from conftest import random_extended_state, random_pinned_state
 from thrusterbiped.dynamics import (
     contact_kinematics,
+    contact_solve,
     ds_dynamics,
     energies,
     ext_dynamics,
     extend_pinned_state,
     hip_position_pinned,
     pinned_vector_field,
+    ss_contact_force,
     ss_dynamics,
     swing_foot_pinned,
 )
+from thrusterbiped.errors import SingularContactError
 from thrusterbiped.integrate import integrate_rk4
 
 
@@ -218,6 +221,38 @@ def test_pinned_field_matches_constrained_formulation(params, rng):
         rhs = np.concatenate([terms.B @ u - terms.H, -ck.jdot_qdot[:2]])
         ddq_e = np.linalg.solve(kkt, rhs)[:5]
         assert np.max(np.abs(ddq_e[:3] - ddq_pinned)) < 1e-8
+
+
+def test_stance_force_is_newtons_law_on_the_centre_of_mass(params, rng):
+    # the only external forces in single support are gravity and the
+    # stance-foot reaction, so lam = M a_com + (0, M g)
+    M = params.total_mass
+
+    def com_velocity(x):
+        return oracles.line_derivative(
+            lambda q: oracles.centre_of_mass_pinned(q, params), x[:3], x[3:])
+
+    for _ in range(50):
+        q, dq = random_pinned_state(rng)
+        u = rng.uniform(-3.0, 3.0, size=2)
+        x = np.concatenate([q, dq])
+        a_com = oracles.line_derivative(
+            com_velocity, x, pinned_vector_field(x, u, params))
+        lam = ss_contact_force(q, dq, u, params)
+        assert np.max(np.abs(lam - (M * a_com + np.array([0.0, M * params.g])))) < 1e-6
+
+
+def test_contact_solve_meets_both_blocks_and_rejects_dependent_rows(params, rng):
+    q_e, dq_e = random_extended_state(rng)
+    D = ext_dynamics(q_e, dq_e, params).D
+    J = contact_kinematics(q_e, dq_e, params).J
+    rhs_dyn = rng.standard_normal((5, 3))
+    rhs_con = rng.standard_normal((4, 3))
+    x, lam = contact_solve(D, J, rhs_dyn, rhs_con)
+    assert np.max(np.abs(D @ x - J.T @ lam - rhs_dyn)) < 1e-10
+    assert np.max(np.abs(J @ x - rhs_con)) < 1e-10
+    with pytest.raises(SingularContactError):
+        contact_solve(D, np.vstack([J[:2], J[:2]]), rhs_dyn, rhs_con)
 
 
 def test_mass_matrices_positive_definite(params, rng):

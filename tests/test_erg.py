@@ -12,7 +12,6 @@ from thrusterbiped.erg import (
     ConstraintData,
     SsController,
     constraint_data,
-    fbl_torque,
     gamma_bound,
     governor_rate,
     lyapunov_value,
@@ -49,7 +48,7 @@ def test_fbl_torque_inverts_the_input_map(rng, gait, params):
         x = rand_x(rng)
         od = output_data(x, gait, params)
         v = rng.standard_normal(2)
-        u = fbl_torque(od, v)
+        u = oracles.fbl_torque(od, v)
         assert np.max(np.abs(od.LgLfh @ u + od.Lf2h + v)) < 1e-9
 
 
@@ -62,22 +61,15 @@ def test_torque_rows_encode_the_exact_torque_box(rng, gait, params):
         od = output_data(x, gait, params)
         cdata = constraint_data(od, gait)
         x_a = x_a_of(x)
-        x_w = reference_point(od, w, literal_center=False)
+        x_w = reference_point(od, w)
         rows = cdata.C_x @ x_a + cdata.C_w @ x_w + cdata.C_limit
 
-        u_fbl = fbl_torque(od, pd_accel(od.y, x[4:6], w, gait))
+        u_fbl = oracles.fbl_torque(od, pd_accel(od.y, x[4:6], w, gait))
         scale = 1.0 + np.max(np.abs(u_fbl))
         assert np.max(np.abs(rows[8:10] - (gait.u_max - u_fbl))) < 1e-9 * scale
         assert np.max(np.abs(rows[10:12] - (gait.u_max + u_fbl))) < 1e-9 * scale
         assert np.allclose(rows[0:4], gait.x_max - x_a, atol=1e-12)
         assert np.allclose(rows[4:8], gait.x_max + x_a, atol=1e-12)
-
-        # shifting the position block into the constant column must not
-        # change any row value
-        cdata_lit = constraint_data(od, gait, literal_center=True)
-        x_w_lit = reference_point(od, w, literal_center=True)
-        rows_lit = cdata_lit.C_x @ x_a + cdata_lit.C_w @ x_w_lit + cdata_lit.C_limit
-        assert np.max(np.abs(rows_lit - rows)) < 1e-9 * scale
 
 
 def test_rows_positive_on_the_designed_gait(gait, params):
@@ -85,7 +77,7 @@ def test_rows_positive_on_the_designed_gait(gait, params):
         x = on_manifold_state(gait, s, -0.9)
         od = output_data(x, gait, params)
         cdata = constraint_data(od, gait)
-        x_w = reference_point(od, od.dh_d_dt, literal_center=False)
+        x_w = reference_point(od, od.dh_d_dt)
         rows = cdata.C_x @ x_a_of(x) + cdata.C_w @ x_w + cdata.C_limit
         assert np.all(rows > 0.0)
 
@@ -164,7 +156,7 @@ def test_gamma_matches_projection_oracle(rng, gait, params):
         x = rand_x(rng, angle=0.3, rate=0.5)
         od = output_data(x, gait, params)
         cdata = constraint_data(od, gait)
-        x_w = reference_point(od, rng.standard_normal(2), literal_center=False)
+        x_w = reference_point(od, rng.standard_normal(2))
         got = gamma_bound(x_w, cdata)
         want = min(oracles.gamma_projection(x_w, *cdata[:4]), GAMMA_CAP)
         assert abs(got - want) < 1e-9 * (1.0 + want)
@@ -177,7 +169,7 @@ def test_gamma_level_set_stays_inside_the_rows(rng, gait, params):
         x = rand_x(rng, angle=0.3, rate=0.5)
         od = output_data(x, gait, params)
         cdata = constraint_data(od, gait)
-        x_w = reference_point(od, 0.3 * rng.standard_normal(2), literal_center=False)
+        x_w = reference_point(od, 0.3 * rng.standard_normal(2))
         g = gamma_bound(x_w, cdata)
         if g <= 0.0 or g >= GAMMA_CAP:
             continue
@@ -277,7 +269,7 @@ def test_initial_w_starts_with_zero_velocity_error(rng, gait, params):
     assert np.array_equal(w, x[4:6])
     od = output_data(x, gait, params)
     cdata = constraint_data(od, gait)
-    x_w = reference_point(od, w, literal_center=False)
+    x_w = reference_point(od, w)
     V = lyapunov_value(x_a_of(x), x_w, cdata.P)
     want = 0.5 * gait.kp @ od.y ** 2
     assert abs(V - want) < 1e-12 * (1.0 + want)

@@ -95,7 +95,7 @@ def test_linearization_exact_on_a_linear_system(rng):
     x = rng.standard_normal(4)
     eta = rng.standard_normal(2)
     T_s = 0.01
-    A, B, c = linearize_discretize(f, x, eta, T_s)
+    A, B, c = linearize_discretize(f, x, eta, T_s, N)
     assert np.max(np.abs(A - (np.eye(4) + T_s * M))) < 1e-8
     assert np.max(np.abs(B - T_s * N)) < 1e-8
     assert np.max(np.abs(c - T_s * k)) < 1e-8
