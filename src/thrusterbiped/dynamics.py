@@ -20,7 +20,7 @@ the finite-difference oracles in the test suite gate them.
 
 from __future__ import annotations
 
-from math import cos, sin
+from math import cos, isfinite, sin
 from typing import NamedTuple
 
 import numpy as np
@@ -65,19 +65,20 @@ def _require_finite(name: str, value: np.ndarray) -> None:
 
 def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
     """Pinned single-support terms (stance foot at the origin)."""
-    q = np.asarray(q, dtype=float)
-    dq = np.asarray(dq, dtype=float)
-    _require_finite("q", q)
-    _require_finite("dq", dq)
+    q1, q2, q3 = np.asarray(q, dtype=float).tolist()
+    dq1, dq2, dq3 = np.asarray(dq, dtype=float).tolist()
+    if not (isfinite(q1) and isfinite(q2) and isfinite(q3)):
+        raise ValueError("q contains non-finite entries")
+    if not (isfinite(dq1) and isfinite(dq2) and isfinite(dq3)):
+        raise ValueError("dq contains non-finite entries")
 
     mh, mT, mk = params.m_h, params.m_T, params.m_k
     l, lT = params.l, params.l_T
     lh = 0.5 * l
 
-    q1, q2, q3 = q
-    s1, c1 = sin(q1), cos(q1)
-    s12, c12 = sin(q1 + q2), cos(q1 + q2)
-    s123, c123 = sin(q1 + q2 + q3), cos(q1 + q2 + q3)
+    s1 = sin(q1)
+    s12 = sin(q1 + q2)
+    s123 = sin(q1 + q2 + q3)
     c2, s2 = cos(q2), sin(q2)
     c23, s23 = cos(q2 + q3), sin(q2 + q3)
 
@@ -94,7 +95,6 @@ def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
     d33 = mT * lT * lT
     D = np.array([[d11, d12, d13], [d12, d22, d23], [d13, d23, d33]])
 
-    dq1, dq2, dq3 = dq
     w12 = dq1 + dq2
     w123 = dq1 + dq2 + dq3
     # velocity-product (Coriolis/centrifugal) terms
@@ -279,14 +279,36 @@ def energies(
 
 
 def solve_ddq(terms: DynTerms, force: np.ndarray) -> np.ndarray:
-    """Solve D ddq = force, mapping linear-algebra failure to a domain error."""
-    try:
-        ddq = np.linalg.solve(terms.D, force)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by params
-        raise SingularDynamicsError(str(exc)) from exc
-    if not np.isfinite(ddq).all():
-        raise SingularDynamicsError("non-finite joint accelerations")
-    return ddq
+    """Solve D ddq = force for the 3x3 single-support mass matrix.
+
+    Closed form: D^-1 = adj(D) / det(D), evaluated on Python floats.  ``force``
+    is a vector (3,) or a block of right-hand-side columns (3, k); the result
+    has the same shape.  A determinant that is not positive (D is symmetric
+    positive definite for valid parameters) or a non-finite result raises
+    SingularDynamicsError.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = terms.D.tolist()
+    # adjugate = transposed cofactor matrix
+    A00, A01, A02 = e * i - f * h, c * h - b * i, b * f - c * e
+    A10, A11, A12 = f * g - d * i, a * i - c * g, c * d - a * f
+    A20, A21, A22 = d * h - e * g, b * g - a * h, a * e - b * d
+    det = a * A00 + b * A10 + c * A20
+    if not det > 0.0:
+        raise SingularDynamicsError("mass matrix determinant is not positive")
+
+    rhs = np.asarray(force, dtype=float)
+    cols = [rhs.tolist()] if rhs.ndim == 1 else rhs.T.tolist()
+    out = []
+    for f0, f1, f2 in cols:
+        x0 = (A00 * f0 + A01 * f1 + A02 * f2) / det
+        x1 = (A10 * f0 + A11 * f1 + A12 * f2) / det
+        x2 = (A20 * f0 + A21 * f1 + A22 * f2) / det
+        if not (isfinite(x0) and isfinite(x1) and isfinite(x2)):
+            raise SingularDynamicsError("non-finite joint accelerations")
+        out.append((x0, x1, x2))
+    if rhs.ndim == 1:
+        return np.array(out[0])
+    return np.array(out).T
 
 
 def pinned_vector_field(x_s: np.ndarray, u: np.ndarray, params: ModelParams) -> np.ndarray:

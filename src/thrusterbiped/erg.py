@@ -9,6 +9,7 @@ commanded torque inside its box without ever clipping the closed-loop law.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +20,7 @@ from .gait import GaitParams, OutputData, decoupling_or_raise, output_data
 from .params import ModelParams
 
 GAMMA_CAP = 1e6
+_X_A = [1, 2, 4, 5]  # positions of x_a = (q_a, dq_a) in z = (q, dq, w)
 
 
 class ConstraintData(NamedTuple):
@@ -53,47 +55,56 @@ def partitioned_torque(
     u = beta1 (dw_a - v) + beta2 with the Schur complement beta1 and drift
     beta2; the closed loop then satisfies ddq_a = dw_a - v exactly.
     """
-    x_s = np.asarray(x_s, dtype=float)
     if terms is None:
+        x_s = np.asarray(x_s, dtype=float)
         terms = ss_dynamics(x_s[:3], x_s[3:], params)
-    D, H = terms.D, terms.H
-    d1 = D[0, 0]
-    if abs(d1) < 1e-12:
+    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = terms.D.tolist()
+    h1, h2, h3 = terms.H.tolist()
+    if abs(d11) < 1e-12:
         raise SingularDynamicsError("unactuated inertia vanished in torque partition")
-    beta1 = D[1:, 1:] - np.outer(D[1:, 0], D[0, 1:]) / d1
-    beta2 = H[1:] - D[1:, 0] * (H[0] / d1)
-    return beta1 @ (dw_a - v) + beta2
+    e2, e3 = np.subtract(dw_a, v).tolist()
+    r1 = h1 / d11
+    u2 = ((d22 - d21 * d12 / d11) * e2 + (d23 - d21 * d13 / d11) * e3
+          + (h2 - d21 * r1))
+    u3 = ((d32 - d31 * d12 / d11) * e2 + (d33 - d31 * d13 / d11) * e3
+          + (h3 - d31 * r1))
+    return np.array([u2, u3])
+
+
+# state box rows of C_x: x_max - x_a >= 0, then x_a + x_max >= 0
+_STATE_ROWS = np.vstack([-np.eye(4), np.eye(4)]).tolist()
+_ZERO_ROWS = np.zeros((8, 4)).tolist()
 
 
 def constraint_data(od: OutputData, gait: GaitParams) -> ConstraintData:
-    """Torque and state box as affine rows in (x_a, x_w), x_w = (h_d, w)."""
-    W = decoupling_or_raise(od)
-    Wi_kp = np.linalg.solve(W, np.diag(gait.kp))
-    Wi_kd = np.linalg.solve(W, np.diag(gait.kd))
-    wi_l = np.linalg.solve(W, od.Lf2h)
+    """Torque and state box as affine rows in (x_a, x_w), x_w = (h_d, w).
 
-    C_x = np.zeros((12, 4))
-    C_w = np.zeros((12, 4))
-    C_limit = np.zeros(12)
+    The torque rows need W^-1 for the decoupling matrix W = LgLfh; it comes
+    from the 2x2 adjugate over the determinant that decoupling_or_raise
+    bounds away from zero.
+    """
+    (a, b), (c, d) = decoupling_or_raise(od).tolist()
+    det = a * d - b * c
+    i00, i01, i10, i11 = d / det, -b / det, -c / det, a / det
+    kp2, kp3 = gait.kp.tolist()
+    kd2, kd3 = gait.kd.tolist()
+    l2, l3 = od.Lf2h.tolist()
+    wi_l2 = i00 * l2 + i01 * l3
+    wi_l3 = i10 * l2 + i11 * l3
+    u2, u3 = gait.u_max.tolist()
+    x_max = gait.x_max.tolist()
 
-    # state box: x_max - x_a >= 0 and x_a + x_max >= 0
-    C_x[0:4] = -np.eye(4)
-    C_limit[0:4] = gait.x_max
-    C_x[4:8] = np.eye(4)
-    C_limit[4:8] = gait.x_max
-
-    # torque box, exact: u = -W^-1 (Lf2h + Kp(q_a - h_d) + Kd(dq_a - w))
-    K_block = np.hstack([Wi_kp, Wi_kd])  # (2, 4)
-    C_x[8:10] = K_block
-    C_x[10:12] = -K_block
-    C_w[8:10, 0:2] = -Wi_kp
-    C_w[10:12, 0:2] = Wi_kp
-    C_w[8:10, 2:4] = -Wi_kd
-    C_w[10:12, 2:4] = Wi_kd
-    C_limit[8:10] = gait.u_max + wi_l
-    C_limit[10:12] = gait.u_max - wi_l
-
-    P = 0.5 * np.diag(np.concatenate([gait.kp, gait.kd]))
+    # torque box, exact: u = -W^-1 (Lf2h + Kp(q_a - h_d) + Kd(dq_a - w));
+    # k2, k3 are the rows of [W^-1 Kp, W^-1 Kd]
+    k2 = [i00 * kp2, i01 * kp3, i00 * kd2, i01 * kd3]
+    k3 = [i10 * kp2, i11 * kp3, i10 * kd2, i11 * kd3]
+    n2 = [-v for v in k2]
+    n3 = [-v for v in k3]
+    C_x = np.array(_STATE_ROWS + [k2, k3, n2, n3])
+    C_w = np.array(_ZERO_ROWS + [n2, n3, k2, k3])
+    C_limit = np.array(x_max + x_max + [u2 + wi_l2, u3 + wi_l3,
+                                        u2 - wi_l2, u3 - wi_l3])
+    P = np.diag([0.5 * kp2, 0.5 * kp3, 0.5 * kd2, 0.5 * kd3])
     return ConstraintData(C_x, C_w, C_limit, P)
 
 
@@ -114,19 +125,18 @@ def gamma_bound(x_w: np.ndarray, cdata: ConstraintData) -> float:
     not bind; a reference already on or past a boundary gives zero.
     """
     r = cdata.C_x @ x_w + cdata.C_w @ x_w + cdata.C_limit
-    pinv = 1.0 / np.diag(cdata.P)
+    den = cdata.C_x ** 2 @ (1.0 / cdata.P.diagonal())
     best = GAMMA_CAP
-    for i in range(r.shape[0]):
-        if not np.isfinite(cdata.C_limit[i]):
+    for ri, di, li in zip(r.tolist(), den.tolist(), cdata.C_limit.tolist()):
+        if not isfinite(li):
             continue
-        den = float(cdata.C_x[i] ** 2 @ pinv)
-        if den < 1e-14:
-            if r[i] < 0.0:
+        if di < 1e-14:
+            if ri < 0.0:
                 return 0.0
             continue
-        if r[i] <= 0.0:
+        if ri <= 0.0:
             return 0.0
-        best = min(best, float(r[i]) ** 2 / den)
+        best = min(best, ri ** 2 / di)
     return best
 
 
@@ -195,31 +205,27 @@ class SsController:
     def _pipeline(self, z: np.ndarray):
         x_s = z[:6]
         w = z[6:8]
-        terms = ss_dynamics(x_s[:3], x_s[3:], self.params)
+        terms = ss_dynamics(z[:3], z[3:6], self.params)
         od = output_data(x_s, self.gait, self.params, terms=terms)
         cdata = constraint_data(od, self.gait)
-        x_a = np.concatenate([x_s[1:3], x_s[4:6]])
         x_w = reference_point(od, w)
-        V = lyapunov_value(x_a, x_w, cdata.P)
+        V = lyapunov_value(z[_X_A], x_w, cdata.P)
         Gamma = gamma_bound(x_w, cdata)
         if self.governor_enabled:
             dw = governor_rate(w, od.dh_d_dt, Gamma - V, self.kappa,
                                self.rate_cap, self.sign_eps)
         else:
             dw = np.zeros(2)
-        v = pd_accel(od.y, x_s[4:6], w, self.gait)
+        v = pd_accel(od.y, z[4:6], w, self.gait)
         u_raw = partitioned_torque(x_s, dw, v, self.params, terms=terms)
-        u = np.clip(u_raw, -self.gait.u_max, self.gait.u_max)
+        u = np.array([min(max(ui, -cap), cap)
+                      for ui, cap in zip(u_raw.tolist(), self.gait.u_max.tolist())])
         return terms, od, V, Gamma, dw, u, u_raw
 
     def field(self, t: float, z: np.ndarray) -> np.ndarray:
         terms, _, _, _, dw, u, _ = self._pipeline(z)
         ddq = solve_ddq(terms, terms.B @ u - terms.H)
-        out = np.empty(8)
-        out[0:3] = z[3:6]
-        out[3:6] = ddq
-        out[6:8] = dw
-        return out
+        return np.concatenate((z[3:6], ddq, dw))
 
     def sample(self, z: np.ndarray) -> SsSample:
         _, od, V, Gamma, _, u, u_raw = self._pipeline(z)

@@ -9,13 +9,13 @@ governor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import asin, cos, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ss_dynamics, DynTerms
+from .dynamics import DynTerms, solve_ddq, ss_dynamics
 from .errors import DecouplingSingularityError, GaitDesignError
 from .params import ModelParams
 
@@ -68,19 +68,40 @@ class OutputData(NamedTuple):
 
 
 def bezier_eval(coeffs: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, first, and second s-derivative by de Casteljau recursion."""
+    """Value, first, and second s-derivative of Bezier rows at phase s.
+
+    De Casteljau recursion on Python floats, row by row; the derivative curves
+    use the scaled forward differences of the control points.  Every level of
+    the recursion is a convex combination of neighbouring points, so s = 0 and
+    s = 1 return the first and last control points exactly.  A power basis
+    evaluated by Horner would be cheaper, but its value at s = 1 is a rounded
+    sum of coefficients, and the clamped phase relies on h_d(1) being the last
+    control point.
+    """
     b = np.asarray(coeffs, dtype=float)
     m = b.shape[-1] - 1
+    s = float(s)
+    t = 1.0 - s
+    val, der1, der2 = [], [], []
+    for row in b.reshape(-1, m + 1).tolist():
+        d1 = [m * (q - p) for p, q in zip(row, row[1:])]
+        d2 = [(m - 1) * (q - p) for p, q in zip(d1, d1[1:])] if m >= 2 else [0.0]
+        val.append(_de_casteljau(row, s, t))
+        der1.append(_de_casteljau(d1, s, t))
+        der2.append(_de_casteljau(d2, s, t))
+    lead = b.shape[:-1]
+    return (np.array(val).reshape(lead), np.array(der1).reshape(lead),
+            np.array(der2).reshape(lead))
 
-    def dc(pts: np.ndarray) -> np.ndarray:
-        p = pts
-        while p.shape[-1] > 1:
-            p = (1.0 - s) * p[..., :-1] + s * p[..., 1:]
-        return p[..., 0]
 
-    d1 = m * np.diff(b, axis=-1)
-    d2 = (m - 1) * np.diff(d1, axis=-1) if m >= 2 else np.zeros_like(b[..., :1])
-    return dc(b), dc(d1), dc(d2)
+def _de_casteljau(points: list, s: float, t: float) -> float:
+    """Point of one Bezier curve at s, with t = 1 - s; overwrites ``points``."""
+    n = len(points)
+    while n > 1:
+        n -= 1
+        for j in range(n):
+            points[j] = t * points[j] + s * points[j + 1]
+    return points[0]
 
 
 def phase(q1: float, gait: GaitParams) -> PhaseData:
@@ -105,28 +126,40 @@ def output_data(
     ``ddy = Lf2h + LgLfh @ u`` along the closed-loop flow; outside [0, 1] the
     phase is clamped, so h_d holds the endpoint value while the slope terms
     keep the endpoint tangent (a hard zero-slope switch would step the torque
-    during small phase overshoots before touchdown).
+    during small phase overshoots before touchdown).  One closed-form solve
+    D^-1 [-H, B] gives the drift and input columns of the joint
+    accelerations; the rest is evaluated on Python floats.
     """
     x_s = np.asarray(x_s, dtype=float)
-    q, dq = x_s[:3], x_s[3:]
+    q1, q2, q3, dq1, dq2, dq3 = x_s.tolist()
     if terms is None:
-        terms = ss_dynamics(q, dq, params)
+        terms = ss_dynamics(x_s[:3], x_s[3:], params)
 
-    ph = phase(q[0], gait)
+    ph = phase(q1, gait)
     s = min(max(ph.s, 0.0), 1.0)
     h, dh, d2h = bezier_eval(gait.bezier, s)
+    (h2, h3), (dh2, dh3), (dd2, dd3) = h.tolist(), dh.tolist(), d2h.tolist()
     sp = ph.ds_dtheta
 
-    sol = np.linalg.solve(terms.D, np.column_stack([-terms.H, terms.B]))
-    f_dd = sol[:, 0]
-    G_dd = sol[:, 1:]
+    sol = solve_ddq(terms, np.column_stack([-terms.H, terms.B]))
+    (f1, g11, g12), (f2, g21, g22), (f3, g31, g32) = sol.tolist()
 
-    y = q[1:] - h
-    dh_dt = dh * (sp * dq[0])
-    dy = dq[1:] - dh_dt
-    Lf2h = f_dd[1:] - dh * sp * f_dd[0] - d2h * (sp * dq[0]) ** 2
-    LgLfh = G_dd[1:, :] - np.outer(dh * sp, G_dd[0, :])
-    return OutputData(y, dy, Lf2h, LgLfh, h, dh_dt, s, ph.s, dh)
+    a2, a3 = dh2 * sp, dh3 * sp
+    sdot = sp * dq1
+    dh_dt2, dh_dt3 = dh2 * sdot, dh3 * sdot
+    return OutputData(
+        y=np.array([q2 - h2, q3 - h3]),
+        dy=np.array([dq2 - dh_dt2, dq3 - dh_dt3]),
+        Lf2h=np.array([f2 - a2 * f1 - dd2 * sdot ** 2,
+                       f3 - a3 * f1 - dd3 * sdot ** 2]),
+        LgLfh=np.array([[g21 - a2 * g11, g22 - a2 * g12],
+                        [g31 - a3 * g11, g32 - a3 * g12]]),
+        h_d=h,
+        dh_d_dt=np.array([dh_dt2, dh_dt3]),
+        s=s,
+        s_raw=ph.s,
+        dh_ds=dh,
+    )
 
 
 def decoupling_or_raise(od: OutputData) -> np.ndarray:
@@ -136,8 +169,9 @@ def decoupling_or_raise(od: OutputData) -> np.ndarray:
     Frobenius norm and determinant, which avoids an SVD in the control loop.
     """
     A = od.LgLfh
-    f2 = A[0, 0] ** 2 + A[0, 1] ** 2 + A[1, 0] ** 2 + A[1, 1] ** 2
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    (a, b), (c, d) = A.tolist()
+    f2 = a ** 2 + b ** 2 + c ** 2 + d ** 2
+    det = a * d - b * c
     root = sqrt(max(f2 * f2 - 4.0 * det * det, 0.0))
     s1 = sqrt(max((f2 + root) / 2.0, 0.0))
     s2 = sqrt(max((f2 - root) / 2.0, 0.0))

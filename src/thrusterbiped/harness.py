@@ -25,7 +25,7 @@ from .dynamics import (
 )
 from .erg import SsController
 from .events import impact_map, relabel, swing_foot_descending, touchdown_guard
-from .gait import nominal_start_state, output_data, phase, zero_dynamics_residual
+from .gait import nominal_start_state, output_data, zero_dynamics_residual
 from .integrate import integrate_rk4
 from .nmpc import NmpcController, simulate_ds
 

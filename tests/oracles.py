@@ -215,6 +215,26 @@ def bernstein_fd(coeffs: np.ndarray, s: float, h: float = 1e-5):
     return v0, (vp - vm) / (2.0 * h), (vp - 2.0 * v0 + vm) / (h * h)
 
 
+def de_casteljau_numpy(coeffs: np.ndarray, s: float):
+    """(value, d/ds, d2/ds2) by numpy de Casteljau sweeps over all rows at once.
+
+    The package's former evaluator.  The scalar one performs the same
+    floating-point operations in the same order, so the two agree bit for bit.
+    """
+    b = np.asarray(coeffs, dtype=float)
+    m = b.shape[-1] - 1
+
+    def dc(pts: np.ndarray) -> np.ndarray:
+        p = pts
+        while p.shape[-1] > 1:
+            p = (1.0 - s) * p[..., :-1] + s * p[..., 1:]
+        return p[..., 0]
+
+    d1 = m * np.diff(b, axis=-1)
+    d2 = (m - 1) * np.diff(d1, axis=-1) if m >= 2 else np.zeros_like(b[..., :1])
+    return dc(b), dc(d1), dc(d2)
+
+
 # ---------------------------------------------------------------------------
 # feedback linearization
 

@@ -4,8 +4,15 @@ import json
 
 import pytest
 
-from thrusterbiped.cli import EXIT_CONFIG, EXIT_OK, main
+from thrusterbiped import cli
+from thrusterbiped.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from thrusterbiped.config import config_to_dict, save_config
+from thrusterbiped.errors import (
+    EventLocationError,
+    NumericalFailureError,
+    SingularDynamicsError,
+)
+from thrusterbiped.harness import GaitLog
 
 
 @pytest.fixture()
@@ -58,3 +65,31 @@ def test_design_gait_prints_the_default_gait_section(default_cfg, capsys):
     assert main(["design-gait"]) == EXIT_OK
     expected = {"gait": config_to_dict(default_cfg)["gait"]}
     assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("error, code", [
+    (NumericalFailureError("non-finite state"), EXIT_NUMERICAL),
+    (EventLocationError("no sign change"), EXIT_NUMERICAL),
+    (SingularDynamicsError("singular mass matrix"), EXIT_ABORT),
+])
+def test_run_maps_simulation_errors_to_exit_codes(scenario, tmp_path, monkeypatch,
+                                                  capsys, error, code):
+    def failing_walk(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "run_walk", failing_walk)
+    out = tmp_path / "run"
+    assert main(["run", str(scenario), "--output-dir", str(out), "--no-env"]) == code
+    assert str(error) in capsys.readouterr().err
+
+
+def test_run_reports_a_fall_with_exit_3_and_writes_its_outputs(
+        scenario, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_walk",
+                        lambda cfg: GaitLog(aborted="fall: hip height below 0.2*l"))
+    out = tmp_path / "run"
+    assert main(["run", str(scenario), "--output-dir", str(out), "--no-env"]) == EXIT_ABORT
+    assert (out / "trace.csv").is_file()
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert "status: aborted: fall: hip height below 0.2*l" in summary
+    assert summary in capsys.readouterr().out

@@ -12,11 +12,12 @@ from thrusterbiped.dynamics import (
     extend_pinned_state,
     hip_position_pinned,
     pinned_vector_field,
+    solve_ddq,
     ss_contact_force,
     ss_dynamics,
     swing_foot_pinned,
 )
-from thrusterbiped.errors import SingularContactError
+from thrusterbiped.errors import SingularContactError, SingularDynamicsError
 from thrusterbiped.integrate import integrate_rk4
 
 
@@ -25,6 +26,34 @@ def test_mass_matrix_symmetric_at_zero(params):
     assert np.array_equal(D, D.T)
     De = ext_dynamics(np.zeros(5), np.zeros(5), params).D
     assert np.array_equal(De, De.T)
+
+
+def test_solve_ddq_matches_a_pivoted_lu_solve(params, rng):
+    for _ in range(200):
+        q, dq = random_pinned_state(rng, angle=1.5, rate=3.0)
+        terms = ss_dynamics(q, dq, params)
+        for rhs in (rng.standard_normal(3), rng.standard_normal((3, 3))):
+            got = solve_ddq(terms, rhs)
+            want = np.linalg.solve(terms.D, rhs)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["q", "dq"])
+def test_ss_dynamics_rejects_non_finite_states(params, name):
+    state = {"q": np.zeros(3), "dq": np.zeros(3)}
+    state[name][1] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+        ss_dynamics(state["q"], state["dq"], params)
+
+
+def test_solve_ddq_rejects_a_singular_mass_matrix(params):
+    terms = ss_dynamics(np.zeros(3), np.zeros(3), params)
+    D = np.ones((3, 3))  # rank one, determinant exactly zero
+    with pytest.raises(SingularDynamicsError):
+        solve_ddq(terms._replace(D=D), np.ones(3))
+    with pytest.raises(SingularDynamicsError):
+        solve_ddq(terms._replace(D=-np.eye(3)), np.ones((3, 2)))
 
 
 def test_pinned_mass_matrix_matches_energy_hessian(params, rng):

@@ -65,6 +65,9 @@ def test_curve_matches_bernstein_basis(gait, rng):
     for s in rng.uniform(0.0, 1.0, size=200):
         v, _, _ = bezier_eval(gait.bezier, s)
         assert np.max(np.abs(v - oracles.bernstein_value(gait.bezier, s))) < 1e-12
+    for s in np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, size=200)]):
+        assert np.array_equal(bezier_eval(gait.bezier, s),
+                              oracles.de_casteljau_numpy(gait.bezier, s))
 
 
 def test_curve_derivatives_match_differences(gait, rng):
