@@ -15,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -127,9 +126,7 @@ def cmd_sweep(args) -> int:
         else default_scenario()
     out_root = args.output_dir or os.path.join(cfg.io.output_dir, "sweep")
     os.makedirs(out_root, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=min(4, len(levels))) as pool:
-        results = list(pool.map(
-            lambda lv: _sweep_level(cfg, lv, out_root), levels))
+    results = [_sweep_level(cfg, lv, out_root) for lv in levels]
 
     cols = ["u_max", "completed_steps", "aborted", "max_abs_u",
             "max_tracking_error", "out_dir"]

@@ -7,15 +7,17 @@ brakes the torso toward the next step's initial rate while thrust presses the
 contact forces deep enough into the friction cone to make the braking torque
 admissible.
 
-All predictions use one linearization per solve: dynamics by central finite
-differences (thrust/torque columns exact through the contact solve), contact
-forces as an affine map of state and input.  Each sample solves one dense QP.
+Each sample linearizes once and solves one dense QP.  The thrust/torque
+columns are exact through one multi-RHS contact solve; one central-difference
+sweep over the state then gives both the dynamics model and the affine
+contact-force model, since every perturbed contact solve returns the
+accelerations and the forces together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,73 +77,52 @@ def ds_affine_maps(
     return ddq[:, 0], ddq[:, 1:], lam[:, 0], lam[:, 1:]
 
 
-def linearize_discretize(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    eta: np.ndarray,
-    T_s: float,
-    B_exact: np.ndarray,
-    rel_step: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward-Euler discretization of the Jacobian linearization of f.
+class DsLinearization(NamedTuple):
+    """Discrete model x[k+1] ~ A x[k] + B eta[k] + c and affine forces
+    lam ~ lam0 + Lx (x - x_d) + Le (eta - eta0) about the base point."""
 
-    x[k+1] ~ A x[k] + B eta[k] + c.  State Jacobian by central differences
-    with relative step; the input Jacobian is the exact column map B_exact.
-    """
-    x = np.asarray(x, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    n = x.shape[0]
-    f0 = f(x, eta)
-
-    J = np.empty((n, n))
-    for j in range(n):
-        h = rel_step * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (f(xp, eta) - f(xm, eta)) / (2.0 * h)
-
-    A = np.eye(n) + T_s * J
-    B = T_s * B_exact
-    c = x + T_s * f0 - A @ x - B @ eta
-    return A, B, c
+    A: np.ndarray       # (10, 10)
+    B: np.ndarray       # (10, 3)
+    c: np.ndarray       # (10,)
+    lam0: np.ndarray    # (4,)
+    Lx: np.ndarray      # (4, 10)
+    Le: np.ndarray      # (4, 3)
 
 
 def linearize_ds(
     x_d: np.ndarray, eta: np.ndarray, T_s: float, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """DS-dynamics discretization with the exact thrust/torque column map."""
-    _, G_ddq, _, _ = ds_affine_maps(x_d, params)
-    B_exact = np.zeros((N_X, N_ETA))
-    B_exact[5:, :] = G_ddq
-    return linearize_discretize(
-        lambda xx, ee: ds_field(xx, ee, params), x_d, eta, T_s, B_exact
-    )
+) -> DsLinearization:
+    """Forward-Euler discretized dynamics and affine contact forces at (x_d, eta).
 
-
-def linearize_forces(
-    x_d: np.ndarray, eta: np.ndarray, params: ModelParams, rel_step: float = 1e-6
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Affine contact-force model lam ~ lam0 + L_x (x - x_d) + L_eta (eta - eta0).
-
-    The input block is exact (KKT is affine in eta); the state block is a
-    central finite difference.
+    The input columns are exact through one multi-RHS contact solve.  The
+    state columns come from one central-difference sweep with relative step
+    1e-6: each perturbed contact solve fills a column of both the
+    acceleration and the force Jacobian.
     """
-    x_d = np.asarray(x_d, dtype=float)
+    x = np.asarray(x_d, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    _, _, lam_base, lam_gain = ds_affine_maps(x_d, params)
-    lam0 = lam_base + lam_gain @ eta
+    _, G_ddq, lam_base, Le = ds_affine_maps(x, params)
+    f0 = ds_field(x, eta, params)
 
+    J = np.empty((N_X, N_X))
     Lx = np.empty((4, N_X))
     for j in range(N_X):
-        h = rel_step * max(1.0, abs(x_d[j]))
-        xp = x_d.copy()
-        xm = x_d.copy()
+        h = 1e-6 * max(1.0, abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        Lx[:, j] = (ds_rhs(xp, eta, params).lam - ds_rhs(xm, eta, params).lam) / (2.0 * h)
-    return lam0, Lx, lam_gain
+        fp = ds_rhs(xp, eta, params)
+        fm = ds_rhs(xm, eta, params)
+        J[:5, j] = (xp[5:] - xm[5:]) / (2.0 * h)
+        J[5:, j] = (fp.ddq - fm.ddq) / (2.0 * h)
+        Lx[:, j] = (fp.lam - fm.lam) / (2.0 * h)
+
+    A = np.eye(N_X) + T_s * J
+    B = np.zeros((N_X, N_ETA))
+    B[5:] = T_s * G_ddq
+    c = x + T_s * f0 - A @ x - B @ eta
+    return DsLinearization(A, B, c, lam_base + Le @ eta, Lx, Le)
 
 
 def reference_trajectory(x_d0: np.ndarray, x_target: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -199,14 +180,14 @@ def solve_nmpc(
 
     Friction-cone and minimum-normal-force rows use the affine force model at
     nodes 0..n_int-1; state boxes apply at nodes 1..n_int.  An infeasible or
-    stalled QP returns zero input with the corresponding status.
+    stalled QP returns zero input with the corresponding status; so does a
+    violated row that no input can reach (status infeasible, 0 iterations).
     """
     x1 = np.asarray(x_d1, dtype=float)
     K = prob.n_int
     eta0 = np.zeros(N_ETA) if eta_base is None else np.asarray(eta_base, dtype=float)
 
-    A, B, c = linearize_ds(x1, eta0, prob.T_s, params)
-    lam0, Lx, Le = linearize_forces(x1, eta0, params)
+    A, B, c, lam0, Lx, Le = linearize_ds(x1, eta0, prob.T_s, params)
 
     # prediction: x[k] = x_free[k] + S[k] @ z, z = stacked inputs
     nz = N_ETA * K
@@ -274,17 +255,11 @@ def solve_nmpc(
     # early-horizon position boxes have zero sensitivity to the inputs; drop
     # trivially satisfied rows, and fail fast on unsatisfiable ones
     live = np.linalg.norm(G, axis=1) > 1e-9
-    dead_bad = ~live & (h < -1e-9)
-    if np.any(dead_bad):
-        zero = np.zeros((K, N_ETA))
-        return NmpcSolution(zero, x_free.copy(), _predict_forces(
-            zero, x_free, x1, eta0, lam0, Lx, Le), float("nan"), INFEASIBLE, 0)
-    finite = np.isfinite(h)
-    keep = live & finite
-    G = G[keep]
-    h = h[keep]
-
-    sol: QpSolution = solve_qp(P, qv, G, h)
+    if np.any(~live & (h < -1e-9)):
+        sol = QpSolution(np.zeros(nz), INFEASIBLE, 0)
+    else:
+        keep = live & np.isfinite(h)
+        sol = solve_qp(P, qv, G[keep], h[keep])
     if sol.status != OPTIMAL:
         zero = np.zeros((K, N_ETA))
         return NmpcSolution(zero, x_free.copy(), _predict_forces(

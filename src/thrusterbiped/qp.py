@@ -128,22 +128,3 @@ def solve_qp(
                 u.pop(blocking)
                 continue
             return QpSolution(z, INFEASIBLE, iters, list(active), None)
-
-
-def kkt_residuals(
-    P: np.ndarray,
-    q: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    z: np.ndarray,
-    duals: np.ndarray,
-) -> dict[str, float]:
-    """Stationarity, feasibility, and complementarity norms for tests."""
-    stat = P @ z + q + G.T @ duals
-    primal = G @ z - h
-    return {
-        "stationarity": float(np.linalg.norm(stat, np.inf)),
-        "primal": float(max(primal.max(initial=-np.inf), 0.0)),
-        "dual": float(max(-duals.min(initial=0.0), 0.0)),
-        "complementarity": float(np.abs(duals * primal).max(initial=0.0)),
-    }

@@ -196,6 +196,64 @@ def fd_jacobian(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return J
 
 
+def linearize_discretize(f, x, eta, T_s, B_exact, rel_step=1e-6):
+    """Forward-Euler discretization of the Jacobian linearization of f.
+
+    x[k+1] ~ A x[k] + B eta[k] + c.  State Jacobian by central differences
+    with relative step; the input Jacobian is the exact column map B_exact.
+    The package's former generic helper, kept as the reference for its
+    double-support linearization.
+    """
+    x = np.asarray(x, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    n = x.shape[0]
+    f0 = f(x, eta)
+
+    J = np.empty((n, n))
+    for j in range(n):
+        h = rel_step * max(1.0, abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        J[:, j] = (f(xp, eta) - f(xm, eta)) / (2.0 * h)
+
+    A = np.eye(n) + T_s * J
+    B = T_s * B_exact
+    c = x + T_s * f0 - A @ x - B @ eta
+    return A, B, c
+
+
+def linearize_ds_two_sweeps(x_d, eta, T_s, params):
+    """(A, B, c, lam0, Lx, Le) by two separate central-difference sweeps.
+
+    The dynamics come from `linearize_discretize` on `ds_field`, the force
+    Jacobian from a second sweep over `ds_rhs(...).lam`; each sweep takes its
+    exact input map from its own `ds_affine_maps` call.
+    """
+    from thrusterbiped.nmpc import ds_affine_maps, ds_field, ds_rhs
+
+    x = np.asarray(x_d, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    _, G_ddq, _, _ = ds_affine_maps(x, params)
+    B_exact = np.zeros((10, 3))
+    B_exact[5:, :] = G_ddq
+    A, B, c = linearize_discretize(
+        lambda xx, ee: ds_field(xx, ee, params), x, eta, T_s, B_exact)
+
+    _, _, lam_base, Le = ds_affine_maps(x, params)
+    Lx = np.empty((4, 10))
+    for j in range(10):
+        h = 1e-6 * max(1.0, abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        Lx[:, j] = (ds_rhs(xp, eta, params).lam
+                    - ds_rhs(xm, eta, params).lam) / (2.0 * h)
+    return A, B, c, lam_base + Le @ eta, Lx, Le
+
+
 # ---------------------------------------------------------------------------
 # Bezier curves by the Bernstein-basis formula
 
@@ -406,6 +464,18 @@ def qp_brute_force(P, q, G, h, tol=1e-9):
     return best
 
 
+def kkt_residuals(P, q, G, h, z, duals) -> dict[str, float]:
+    """Stationarity, feasibility, and complementarity norms of a QP solution."""
+    stat = P @ z + q + G.T @ duals
+    primal = G @ z - h
+    return {
+        "stationarity": float(np.linalg.norm(stat, np.inf)),
+        "primal": float(max(primal.max(initial=-np.inf), 0.0)),
+        "dual": float(max(-duals.min(initial=0.0), 0.0)),
+        "complementarity": float(np.abs(duals * primal).max(initial=0.0)),
+    }
+
+
 # ---------------------------------------------------------------------------
 # constrained accelerations by null-space elimination
 
@@ -445,10 +515,9 @@ def thrust_grid_best(x1, r_d, w_x, w_eta_f, f_stage_grids, T_s, params,
     Returns (best objective, best (f1, f2, f3), objective spread); the best
     objective is inf when no grid point is cone-feasible.
     """
-    from thrusterbiped.nmpc import linearize_ds, linearize_forces
+    from thrusterbiped.nmpc import linearize_ds
 
-    A, B, c = linearize_ds(x1, np.zeros(3), T_s, params)
-    lam0, Lx, Le = linearize_forces(x1, np.zeros(3), params)
+    A, B, c, lam0, Lx, Le = linearize_ds(x1, np.zeros(3), T_s, params)
     bf = B[:, 2]
     le = Le[:, 2]
     g1, g2, g3 = f_stage_grids
@@ -500,10 +569,9 @@ def torque_thrust_grid_best(x1, r_d, w_x, w_u3, w_f, u3_grid, f_grid, T_s,
     the same affine force model as the program.  Returns (best objective,
     ((u3_1, f_1), (u3_2, f_2)), objective spread).
     """
-    from thrusterbiped.nmpc import linearize_ds, linearize_forces
+    from thrusterbiped.nmpc import linearize_ds
 
-    A, B, c = linearize_ds(x1, np.zeros(3), T_s, params)
-    lam0, Lx, Le = linearize_forces(x1, np.zeros(3), params)
+    A, B, c, lam0, Lx, Le = linearize_ds(x1, np.zeros(3), T_s, params)
 
     U3, F = np.meshgrid(u3_grid, f_grid, indexing="ij")
     u3 = U3.ravel()

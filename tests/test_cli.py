@@ -1,4 +1,4 @@
-"""Exit codes and output of the command-line entry points; no test simulates."""
+"""Exit codes and output of the command-line entry points; no test simulates a step."""
 
 import json
 
@@ -59,6 +59,20 @@ def test_sweep_rejects_bad_levels_before_running(scenario, tmp_path, capsys, lev
     assert code == EXIT_CONFIG
     assert "--u-max" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_runs_levels_in_the_order_given(scenario, tmp_path, capsys):
+    path = edited(scenario, "sim", "n_steps", 0)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--u-max", "1.2,3", "--config", path,
+                 "--output-dir", str(out), "--no-env"])
+    assert code == EXIT_OK
+    assert (out / "umax_1.2").is_dir()
+    assert (out / "umax_3").is_dir()
+    rows = (out / "sweep_summary.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0].startswith("u_max,")
+    assert [row.split(",")[0] for row in rows[1:]] == ["1.2", "3.0"]
+    assert "summary:" in capsys.readouterr().out
 
 
 def test_design_gait_prints_the_default_gait_section(default_cfg, capsys):

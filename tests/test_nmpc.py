@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from thrusterbiped import nmpc
 from thrusterbiped.dynamics import contact_kinematics, ds_dynamics
 from thrusterbiped.nmpc import (
     NmpcController,
@@ -9,14 +10,12 @@ from thrusterbiped.nmpc import (
     ds_affine_maps,
     ds_field,
     ds_rhs,
-    linearize_discretize,
     linearize_ds,
-    linearize_forces,
     reference_trajectory,
     simulate_ds,
     solve_nmpc,
 )
-from thrusterbiped.qp import OPTIMAL
+from thrusterbiped.qp import INFEASIBLE, OPTIMAL
 
 
 def ds_state(params, q1, q3, dq3=0.0):
@@ -95,7 +94,7 @@ def test_linearization_exact_on_a_linear_system(rng):
     x = rng.standard_normal(4)
     eta = rng.standard_normal(2)
     T_s = 0.01
-    A, B, c = linearize_discretize(f, x, eta, T_s, N)
+    A, B, c = oracles.linearize_discretize(f, x, eta, T_s, N)
     assert np.max(np.abs(A - (np.eye(4) + T_s * M))) < 1e-8
     assert np.max(np.abs(B - T_s * N)) < 1e-8
     assert np.max(np.abs(c - T_s * k)) < 1e-8
@@ -103,7 +102,7 @@ def test_linearization_exact_on_a_linear_system(rng):
 
 def test_linearization_collapses_at_zero_step(params):
     x = ds_state(params, 0.1, 0.2, -1.0)
-    A, B, c = linearize_ds(x, np.zeros(3), 1e-9, params)
+    A, B, c, *_ = linearize_ds(x, np.zeros(3), 1e-9, params)
     assert np.max(np.abs(A - np.eye(10))) < 1e-6
     assert np.max(np.abs(B)) < 1e-6
 
@@ -126,10 +125,24 @@ def test_prediction_error_is_second_order_in_the_step(params):
 
     errs = []
     for T in (2e-3, 1e-3):
-        A, B, c = linearize_ds(x, eta, T, params)
+        A, B, c, *_ = linearize_ds(x, eta, T, params)
         errs.append(np.linalg.norm(A @ x + B @ eta + c - truth(T)))
     ratio = errs[0] / errs[1]
     assert 3.5 < ratio < 4.5
+
+
+def test_linearization_matches_the_two_sweep_reference(rng, params):
+    # one sweep fills the dynamics and force Jacobians with the same floats
+    # that two separate sweeps produce
+    for _ in range(50):
+        x = ds_state(params, rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5),
+                     rng.uniform(-3.0, 3.0))
+        eta = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3),
+                        rng.uniform(0, 40)])
+        got = linearize_ds(x, eta, 1e-3, params)
+        ref = oracles.linearize_ds_two_sweeps(x, eta, 1e-3, params)
+        for name, a, b in zip(got._fields, got, ref):
+            assert np.array_equal(a, b), name
 
 
 def test_reference_line_endpoints_and_midpoint():
@@ -157,7 +170,7 @@ def test_problem_validation():
 
 
 def free_rollout(x1, K, T_s, params):
-    A, B, c = linearize_ds(x1, np.zeros(3), T_s, params)
+    A, B, c, *_ = linearize_ds(x1, np.zeros(3), T_s, params)
     r = np.empty((K + 1, 10))
     r[0] = x1
     for k in range(K):
@@ -178,6 +191,81 @@ def test_zero_input_is_optimal_for_the_free_rollout(params):
     assert sol.status == OPTIMAL
     assert np.max(np.abs(sol.eta_seq)) < 1e-9
     assert sol.objective < 1e-12
+
+
+def small_problem(x1, K, **edits):
+    target = x1.copy()
+    target[7] = -0.2
+    fields = dict(
+        n_int=K, T_s=1e-3, r_d=reference_trajectory(x1, target, K + 1),
+        w_x=np.ones(10), w_eta=np.array([1e-3, 1e-3, 1e-4]),
+        eta_lo=np.array([-3.0, -3.0, 0.0]), eta_hi=np.array([3.0, 3.0, 40.0]),
+        x_lo=np.full(10, -50.0), x_hi=np.full(10, 50.0))
+    fields.update(edits)
+    return NmpcProblem(**fields)
+
+
+def test_one_solve_makes_one_linearization(params, monkeypatch):
+    # one multi-RHS input-map solve, one at the base point, and two per
+    # state perturbation
+    calls = []
+    real = nmpc.contact_solve
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(nmpc, "contact_solve", counting)
+    x1 = ds_state(params, 0.1, 0.1, -1.0)
+    assert solve_nmpc(small_problem(x1, 5), x1, params).status == OPTIMAL
+    assert len(calls) == 22
+
+
+def test_unreachable_normal_force_falls_back_to_zero_input(params):
+    x1 = ds_state(params, 0.1, 0.1, -1.0)
+    K = 5
+    sol = solve_nmpc(small_problem(x1, K, eps_normal=1e4), x1, params)
+    assert sol.status == INFEASIBLE
+    assert sol.qp_iterations > 0
+    assert np.array_equal(sol.eta_seq, np.zeros((K, 3)))
+    assert sol.lambda_pred.shape == (K, 4)
+    assert np.isnan(sol.objective)
+
+
+def test_violated_input_free_row_falls_back_without_a_qp(params):
+    # node-1 positions do not depend on the inputs under forward Euler, so a
+    # lower bound above them is a dead row that no input can satisfy
+    x1 = ds_state(params, 0.1, 0.1, -1.0)
+    K = 5
+    x_lo = np.full(10, -50.0)
+    x_lo[3] = x1[3] + 0.5
+    sol = solve_nmpc(small_problem(x1, K, x_lo=x_lo), x1, params)
+    assert sol.status == INFEASIBLE
+    assert sol.qp_iterations == 0
+    assert np.array_equal(sol.eta_seq, np.zeros((K, 3)))
+    assert sol.lambda_pred.shape == (K, 4)
+    assert np.isnan(sol.objective)
+
+
+def test_controller_applies_zero_input_after_a_failed_solve(params):
+    x0 = ds_state(params, 0.1, 0.1, -1.0)
+    target = x0.copy()
+    target[7] = -0.2
+    ctrl = NmpcController(params, n_int=5, eps_normal=1e4)
+    ctrl.reset(x0, target)
+    assert np.array_equal(ctrl(0, x0), np.zeros(3))
+    assert ctrl.status_log[0][:2] == (0, INFEASIBLE)
+    assert ctrl._prev is None
+
+    # a failed solve also drops the kept solution of an earlier good one
+    ctrl.eps_normal = 0.1
+    ctrl(1, x0)
+    assert ctrl.status_log[1][1] == OPTIMAL
+    assert ctrl._prev is not None
+    ctrl.eps_normal = 1e4
+    assert np.array_equal(ctrl(2, x0), np.zeros(3))
+    assert ctrl.status_log[2][:2] == (2, INFEASIBLE)
+    assert ctrl._prev is None
 
 
 def test_solution_respects_all_declared_constraints(params):
@@ -211,7 +299,7 @@ def test_solution_respects_all_declared_constraints(params):
         assert lN2 >= prob.eps_normal - 1e-6
 
     # predictions and the condensed model must agree step by step
-    A, B, c = linearize_ds(x1, np.zeros(3), T_s, params)
+    A, B, c, *_ = linearize_ds(x1, np.zeros(3), T_s, params)
     for k in range(K):
         x_next = A @ sol.x_pred[k] + B @ sol.eta_seq[k] + c
         assert np.max(np.abs(sol.x_pred[k + 1] - x_next)) < 1e-9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from thrusterbiped.qp import INFEASIBLE, OPTIMAL, kkt_residuals, solve_qp
+from thrusterbiped.qp import INFEASIBLE, OPTIMAL, solve_qp
 
 
 def random_spd(rng, n):
@@ -68,7 +68,7 @@ def test_random_instances_satisfy_kkt(rng):
         h = G @ z_feas + rng.uniform(0.0, 1.0, m)
         sol = solve_qp(P, q, G, h)
         assert sol.status == OPTIMAL, trial
-        res = kkt_residuals(P, q, G, h, sol.z, sol.duals)
+        res = oracles.kkt_residuals(P, q, G, h, sol.z, sol.duals)
         assert res["stationarity"] < 1e-7
         assert res["primal"] < 1e-8
         assert res["dual"] == 0.0
@@ -102,5 +102,5 @@ def test_tight_feasible_set_still_solves(rng):
         sol = solve_qp(P, q, G, h)
         assert sol.status == OPTIMAL
         assert np.allclose(sol.z, -h, atol=1e-9)
-        res = kkt_residuals(P, q, G, h, sol.z, sol.duals)
+        res = oracles.kkt_residuals(P, q, G, h, sol.z, sol.duals)
         assert res["stationarity"] < 1e-9
