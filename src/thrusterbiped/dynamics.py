@@ -63,6 +63,17 @@ def _require_finite(name: str, value: np.ndarray) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
+def _com_moments(params: ModelParams) -> tuple[float, float, float]:
+    """c_k of the mass moment M p_com = sum_k c_k (-sin phi_k, cos phi_k).
+
+    Pinned model, stance foot at the origin; phi_k are the absolute angles
+    of the stance leg, the swing leg and the torso.
+    """
+    mh, mT, mk = params.m_h, params.m_T, params.m_k
+    lh = 0.5 * params.l
+    return params.l * (mh + mT + mk) + lh * mk, -lh * mk, params.l_T * mT
+
+
 def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
     """Pinned single-support terms (stance foot at the origin)."""
     q1, q2, q3 = np.asarray(q, dtype=float).tolist()
@@ -106,9 +117,7 @@ def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
 
     # gravity, stance-foot ground height as datum
     g = params.g
-    A = l * (mh + mT + mk) + lh * mk
-    Bc = -lh * mk
-    Cc = lT * mT
+    A, Bc, Cc = _com_moments(params)
     g1 = -g * (A * s1 + Bc * s12 + Cc * s123)
     g2 = -g * (Bc * s12 + Cc * s123)
     g3 = -g * Cc * s123
@@ -390,15 +399,29 @@ def ss_contact_force(
 ) -> np.ndarray:
     """Stance-foot reaction (lam_T, lam_N) implied by the pinned model.
 
-    Computed from the unpinned dynamics with the stance-point acceleration
-    constrained to zero; the pinned model never produces these forces itself
-    but the friction cone still has to hold for the pin to be physical.
+    The pinned model never produces this force itself, but the friction cone
+    still has to hold for the pin to be physical.  Gravity and the reaction
+    are the only external forces in single support, so Newton's law on the
+    centre of mass gives it: lam = M a_com + (0, M g).  With the link angles
+    phi = (q1, q1 + q2, q1 + q2 + q3) and e(phi) = (-sin phi, cos phi), the
+    mass moment is M p_com = sum_k c_k e(phi_k), so M a_com is the sum of
+    c_k (e'(phi_k) ddphi_k + e''(phi_k) dphi_k^2) with ddq from the pinned
+    dynamics.
     """
-    q_e, dq_e = extend_pinned_state(np.asarray(q, float), np.asarray(dq, float),
-                                    np.zeros(2), params)
-    terms = ext_dynamics(q_e, dq_e, params)
-    ck = contact_kinematics(q_e, dq_e, params)
-    _, lam = contact_solve(terms.D, ck.J[:2],
-                           terms.B @ np.asarray(u, dtype=float) - terms.H,
-                           -ck.jdot_qdot[:2])
-    return lam
+    terms = ss_dynamics(q, dq, params)
+    ddq = solve_ddq(terms, terms.B @ np.asarray(u, dtype=float) - terms.H)
+    q1, q2, q3 = np.asarray(q, dtype=float).tolist()
+    dq1, dq2, dq3 = np.asarray(dq, dtype=float).tolist()
+    a1, a2, a3 = ddq.tolist()
+    lamT = 0.0
+    lamN = params.weight
+    for ck, phi, rate, acc in zip(
+        _com_moments(params),
+        (q1, q1 + q2, q1 + q2 + q3),
+        (dq1, dq1 + dq2, dq1 + dq2 + dq3),
+        (a1, a1 + a2, a1 + a2 + a3),
+    ):
+        s, c = sin(phi), cos(phi)
+        lamT += ck * (s * rate * rate - c * acc)
+        lamN -= ck * (s * acc + c * rate * rate)
+    return np.array([lamT, lamN])

@@ -92,7 +92,6 @@ def constraint_data(od: OutputData, gait: GaitParams) -> ConstraintData:
     wi_l2 = i00 * l2 + i01 * l3
     wi_l3 = i10 * l2 + i11 * l3
     u2, u3 = gait.u_max.tolist()
-    x_max = gait.x_max.tolist()
 
     # torque box, exact: u = -W^-1 (Lf2h + Kp(q_a - h_d) + Kd(dq_a - w));
     # k2, k3 are the rows of [W^-1 Kp, W^-1 Kd]
@@ -102,10 +101,9 @@ def constraint_data(od: OutputData, gait: GaitParams) -> ConstraintData:
     n3 = [-v for v in k3]
     C_x = np.array(_STATE_ROWS + [k2, k3, n2, n3])
     C_w = np.array(_ZERO_ROWS + [n2, n3, k2, k3])
-    C_limit = np.array(x_max + x_max + [u2 + wi_l2, u3 + wi_l3,
-                                        u2 - wi_l2, u3 - wi_l3])
-    P = np.diag([0.5 * kp2, 0.5 * kp3, 0.5 * kd2, 0.5 * kd3])
-    return ConstraintData(C_x, C_w, C_limit, P)
+    C_limit = np.array(gait.state_limits + [u2 + wi_l2, u3 + wi_l3,
+                                            u2 - wi_l2, u3 - wi_l3])
+    return ConstraintData(C_x, C_w, C_limit, gait.tracking_metric)
 
 
 def reference_point(od: OutputData, w: np.ndarray) -> np.ndarray:
@@ -174,7 +172,10 @@ class SsController:
     """Stateful SS layer: augmented field in z = (q, dq, w).
 
     The governor state w rides along with the mechanical state so a single
-    RK4 pass integrates both consistently.
+    RK4 pass integrates both consistently.  The last pipeline evaluation is
+    kept, keyed by the bytes of z: a node sampled for the log is exactly the
+    state at which the next RK4 step's first stage calls the field, and a
+    byte-exact key can never hand back the result for another state.
     """
 
     def __init__(
@@ -192,6 +193,7 @@ class SsController:
         self.rate_cap = rate_cap
         self.sign_eps = sign_eps
         self.governor_enabled = governor_enabled
+        self._last = (None, None)  # (z.tobytes(), _pipeline result)
 
     def initial_w(self, x_s: np.ndarray) -> np.ndarray:
         """Feasible start: w at the current actuated rates.
@@ -203,6 +205,10 @@ class SsController:
         return np.asarray(x_s, dtype=float)[4:6].copy()
 
     def _pipeline(self, z: np.ndarray):
+        z = np.asarray(z, dtype=float)
+        key = z.tobytes()
+        if key == self._last[0]:
+            return self._last[1]
         x_s = z[:6]
         w = z[6:8]
         terms = ss_dynamics(z[:3], z[3:6], self.params)
@@ -220,7 +226,9 @@ class SsController:
         u_raw = partitioned_torque(x_s, dw, v, self.params, terms=terms)
         u = np.array([min(max(ui, -cap), cap)
                       for ui, cap in zip(u_raw.tolist(), self.gait.u_max.tolist())])
-        return terms, od, V, Gamma, dw, u, u_raw
+        result = terms, od, V, Gamma, dw, u, u_raw
+        self._last = (key, result)
+        return result
 
     def field(self, t: float, z: np.ndarray) -> np.ndarray:
         terms, _, _, _, dw, u, _ = self._pipeline(z)
@@ -228,7 +236,9 @@ class SsController:
         return np.concatenate((z[3:6], ddq, dw))
 
     def sample(self, z: np.ndarray) -> SsSample:
+        """Logged quantities at z, as copies that leave the kept result intact."""
         _, od, V, Gamma, _, u, u_raw = self._pipeline(z)
         sat = bool(np.any(np.abs(u_raw) > self.gait.u_max + 1e-12))
-        return SsSample(u, u_raw, od.y, od.dy, V, Gamma, z[6:8].copy(),
-                        od.h_d, od.dh_d_dt, od.s, sat)
+        return SsSample(u.copy(), u_raw.copy(), od.y.copy(), od.dy.copy(), V,
+                        Gamma, z[6:8].copy(), od.h_d.copy(), od.dh_d_dt.copy(),
+                        od.s, sat)

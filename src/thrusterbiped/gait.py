@@ -9,7 +9,7 @@ governor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import asin, cos, sin, sqrt
 from typing import NamedTuple
 
@@ -34,6 +34,10 @@ class GaitParams:
     u_max: np.ndarray           # (2,) actuator torque limits, N m
     x_max: np.ndarray           # (4,) |q_a| and |dq_a| bounds for the governor
     q3dot_start: float = 0.0    # designed torso rate at SS start (DS target)
+    # derived once per gait in __post_init__, read by the control loop
+    bezier_points: tuple = field(init=False, repr=False, compare=False)
+    tracking_metric: np.ndarray = field(init=False, repr=False, compare=False)
+    state_limits: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bezier = np.asarray(self.bezier, dtype=float)
@@ -47,6 +51,12 @@ class GaitParams:
         self.x_max = np.asarray(self.x_max, dtype=float)
         if np.any(self.kp <= 0.0) or np.any(self.kd <= 0.0):
             raise ValueError("gains must be positive")
+        self.bezier_points = _control_points(self.bezier)
+        # governor metric P = diag(Kp/2, Kd/2) and the limits of its eight
+        # state-box rows, x_max - x_a >= 0 and x_a + x_max >= 0
+        self.tracking_metric = np.diag(0.5 * np.concatenate([self.kp, self.kd]))
+        self.tracking_metric.flags.writeable = False
+        self.state_limits = self.x_max.tolist() * 2
 
 
 class PhaseData(NamedTuple):
@@ -67,35 +77,53 @@ class OutputData(NamedTuple):
     dh_ds: np.ndarray    # (2,) slope at the evaluation phase
 
 
+def _control_points(coeffs: np.ndarray) -> tuple:
+    """Per Bezier row: its control points and those of its two s-derivatives.
+
+    The derivative curves use the scaled forward differences of the control
+    points.  A gait computes these once; bezier_eval recomputes them per call.
+    """
+    b = np.asarray(coeffs, dtype=float)
+    m = b.shape[-1] - 1
+    points = []
+    for row in b.reshape(-1, m + 1).tolist():
+        d1 = [m * (q - p) for p, q in zip(row, row[1:])]
+        d2 = [(m - 1) * (q - p) for p, q in zip(d1, d1[1:])] if m >= 2 else [0.0]
+        points.append((tuple(row), tuple(d1), tuple(d2)))
+    return tuple(points)
+
+
 def bezier_eval(coeffs: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value, first, and second s-derivative of Bezier rows at phase s.
 
-    De Casteljau recursion on Python floats, row by row; the derivative curves
-    use the scaled forward differences of the control points.  Every level of
-    the recursion is a convex combination of neighbouring points, so s = 0 and
+    De Casteljau recursion on Python floats, row by row.  Every level of the
+    recursion is a convex combination of neighbouring points, so s = 0 and
     s = 1 return the first and last control points exactly.  A power basis
     evaluated by Horner would be cheaper, but its value at s = 1 is a rounded
     sum of coefficients, and the clamped phase relies on h_d(1) being the last
     control point.
     """
     b = np.asarray(coeffs, dtype=float)
-    m = b.shape[-1] - 1
-    s = float(s)
-    t = 1.0 - s
-    val, der1, der2 = [], [], []
-    for row in b.reshape(-1, m + 1).tolist():
-        d1 = [m * (q - p) for p, q in zip(row, row[1:])]
-        d2 = [(m - 1) * (q - p) for p, q in zip(d1, d1[1:])] if m >= 2 else [0.0]
-        val.append(_de_casteljau(row, s, t))
-        der1.append(_de_casteljau(d1, s, t))
-        der2.append(_de_casteljau(d2, s, t))
+    val, der1, der2 = _bezier_rows(_control_points(b), float(s))
     lead = b.shape[:-1]
     return (np.array(val).reshape(lead), np.array(der1).reshape(lead),
             np.array(der2).reshape(lead))
 
 
-def _de_casteljau(points: list, s: float, t: float) -> float:
-    """Point of one Bezier curve at s, with t = 1 - s; overwrites ``points``."""
+def _bezier_rows(points: tuple, s: float) -> tuple[list, list, list]:
+    """Value and both s-derivatives of each row of _control_points."""
+    t = 1.0 - s
+    val, der1, der2 = [], [], []
+    for row, d1, d2 in points:
+        val.append(_de_casteljau(row, s, t))
+        der1.append(_de_casteljau(d1, s, t))
+        der2.append(_de_casteljau(d2, s, t))
+    return val, der1, der2
+
+
+def _de_casteljau(points: tuple, s: float, t: float) -> float:
+    """Point of one Bezier curve at s, with t = 1 - s."""
+    points = list(points)
     n = len(points)
     while n > 1:
         n -= 1
@@ -108,11 +136,6 @@ def phase(q1: float, gait: GaitParams) -> PhaseData:
     """Normalized phase; unclamped so callers can see overshoot."""
     span = gait.theta_minus - gait.theta_plus
     return PhaseData(q1, (q1 - gait.theta_plus) / span, 1.0 / span)
-
-
-def eval_hd(s: float, gait: GaitParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h_d and its s-derivatives; s is clamped into [0, 1] defensively."""
-    return bezier_eval(gait.bezier, min(max(s, 0.0), 1.0))
 
 
 def output_data(
@@ -137,11 +160,10 @@ def output_data(
 
     ph = phase(q1, gait)
     s = min(max(ph.s, 0.0), 1.0)
-    h, dh, d2h = bezier_eval(gait.bezier, s)
-    (h2, h3), (dh2, dh3), (dd2, dd3) = h.tolist(), dh.tolist(), d2h.tolist()
+    (h2, h3), (dh2, dh3), (dd2, dd3) = _bezier_rows(gait.bezier_points, s)
     sp = ph.ds_dtheta
 
-    sol = solve_ddq(terms, np.column_stack([-terms.H, terms.B]))
+    sol = solve_ddq(terms, np.concatenate((-terms.H[:, None], terms.B), axis=1))
     (f1, g11, g12), (f2, g21, g22), (f3, g31, g32) = sol.tolist()
 
     a2, a3 = dh2 * sp, dh3 * sp
@@ -154,11 +176,11 @@ def output_data(
                        f3 - a3 * f1 - dd3 * sdot ** 2]),
         LgLfh=np.array([[g21 - a2 * g11, g22 - a2 * g12],
                         [g31 - a3 * g11, g32 - a3 * g12]]),
-        h_d=h,
+        h_d=np.array([h2, h3]),
         dh_d_dt=np.array([dh_dt2, dh_dt3]),
         s=s,
         s_raw=ph.s,
-        dh_ds=dh,
+        dh_ds=np.array([dh2, dh3]),
     )
 
 

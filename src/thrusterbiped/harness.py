@@ -149,24 +149,14 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
         # require q2 past half its touchdown value so that region stays dead
         q2_arm = 0.5 * gait.bezier[0, -1]
 
-        result = integrate_rk4(
-            ss_ctrl.field, z0, t, t + SS_TIMEOUT, cfg.sim.dt_ss,
-            guard=lambda z: touchdown_guard(z[:6], params),
-            guard_armed=lambda z: (
-                stance[0] + swing_foot_pinned(z[:3], params)[0] - p2x0 > arm_dist
-                and z[1] > q2_arm
-            ),
-            guard_descending=lambda z: (
-                swing_foot_descending(z[:6], params) + TOUCHDOWN_RATE_MIN
-            ),
-            abort=lambda tt, z: _fall_reason(z[:6], params),
-        )
-
         max_abs_u = np.zeros(2)
         saturations = 0
         min_lam_n = np.inf
         max_ratio = 0.0
-        for ti, zi in zip(result.t, result.x):
+
+        def log_node(ti, zi):
+            """One SS trace row, logged where the integrator creates the node."""
+            nonlocal max_abs_u, saturations, min_lam_n, max_ratio
             smp = ss_ctrl.sample(zi)
             lam1 = ss_contact_force(zi[:3], zi[3:6], smp.u, params)
             hip = stance + hip_position_pinned(zi[:3], params)
@@ -184,6 +174,27 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
                 min_lam_n = float(lam1[1])
             ratio = abs(lam1[0]) / lam1[1] if lam1[1] > 0.0 else np.inf
             max_ratio = max(max_ratio, float(ratio))
+
+        def accept_node(ti, zi):
+            log_node(ti, zi)
+            return _fall_reason(zi[:6], params)
+
+        log_node(t, z0)
+
+        result = integrate_rk4(
+            ss_ctrl.field, z0, t, t + SS_TIMEOUT, cfg.sim.dt_ss,
+            guard=lambda z: touchdown_guard(z[:6], params),
+            guard_armed=lambda z: (
+                stance[0] + swing_foot_pinned(z[:3], params)[0] - p2x0 > arm_dist
+                and z[1] > q2_arm
+            ),
+            guard_descending=lambda z: (
+                swing_foot_descending(z[:6], params) + TOUCHDOWN_RATE_MIN
+            ),
+            abort=accept_node,
+        )
+        if result.event is not None:
+            log_node(result.t[-1], result.x[-1])
 
         if result.abort_reason is not None:
             log.aborted = result.abort_reason

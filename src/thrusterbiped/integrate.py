@@ -48,6 +48,12 @@ def integrate_rk4(
     start, so the event state carries integrator-order accuracy.  When
     ``guard_descending`` is given, crossings where it is non-negative at the
     root are ignored (grazing) and integration continues.
+
+    ``abort(t, x)`` runs once per accepted node, in order, after the node is
+    stored and before the next step starts from that same array; a result
+    other than None stops the run with that reason.  It does not see ``x0``
+    or an event state.  Callers may rely on this to evaluate a node in the
+    callback and reuse it at the next step's first stage.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")

@@ -292,6 +292,19 @@ def test_sample_reports_saturation_and_clips(gait, params):
     assert np.max(np.abs(smp.u_raw)) > 1e-3
 
 
+def test_writing_into_a_sample_leaves_the_kept_evaluation_intact(gait, params):
+    x = on_manifold_state(gait, 0.4, -0.9)
+    z = np.concatenate([x, x[4:6]])
+    want = SsController(gait, params).field(0.0, z)
+
+    ctrl = SsController(gait, params)
+    smp = ctrl.sample(z)
+    for arr in (smp.u, smp.u_raw, smp.y, smp.dy, smp.w, smp.h_d, smp.dh_d_dt):
+        arr[:] = np.nan
+    assert np.array_equal(ctrl.field(0.0, z), want)
+    assert np.array_equal(ctrl.sample(z).u, SsController(gait, params).sample(z).u)
+
+
 def test_closed_loop_respects_boxes_and_margin(one_step_log, gait):
     log = one_step_log
     for name, bound in (("u2", gait.u_max[0]), ("u3", gait.u_max[1])):

@@ -13,7 +13,6 @@ from thrusterbiped.gait import (
     bezier_eval,
     decoupling_or_raise,
     design_gait,
-    eval_hd,
     nominal_start_state,
     output_data,
     phase,
@@ -55,8 +54,8 @@ def test_constant_curve_has_zero_derivatives():
 
 
 def test_curve_interpolates_endpoints(gait):
-    v0, _, _ = eval_hd(0.0, gait)
-    v1, _, _ = eval_hd(1.0, gait)
+    v0, _, _ = bezier_eval(gait.bezier, 0.0)
+    v1, _, _ = bezier_eval(gait.bezier, 1.0)
     assert np.array_equal(v0, gait.bezier[:, 0])
     assert np.array_equal(v1, gait.bezier[:, -1])
 

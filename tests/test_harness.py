@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from test_gait import on_manifold_state
+from thrusterbiped import erg, integrate
 from thrusterbiped.config import load_config, save_config
+from thrusterbiped.erg import SsController, SsSample
 from thrusterbiped.harness import (
     NAN,
     TRACE_COLUMNS,
@@ -59,14 +61,16 @@ def test_diverging_start_aborts_with_a_reason(default_cfg, gait):
     assert "aborted" in summary_text(log)
 
 
-def fake_record(index, start, post=0.2, ss_start=0.02):
+def fake_record(index, start, post=0.2, ss_start=0.02,
+                ds_contact_violation=False):
     return StepRecord(
         index=index, t_start=float(index), ss_duration=0.4,
         residual_post_impact=post, residual_ss_start=ss_start,
         start_state=np.asarray(start, dtype=float),
         max_abs_u=np.array([1.0, 2.0]), erg_saturations=0,
         min_lam_n=3.0, max_cone_ratio=0.1, max_f_th=5.0,
-        peak_normal_sum=20.0, ds_contact_violation=False, nmpc_fallbacks=0)
+        peak_normal_sum=20.0, ds_contact_violation=ds_contact_violation,
+        nmpc_fallbacks=0)
 
 
 def test_step_metrics_arithmetic():
@@ -83,6 +87,16 @@ def test_step_metrics_arithmetic():
     assert table[1]["start_diff_to_next"] == 0.0
     assert math.isnan(table[2]["start_diff_to_next"])
     assert table[0]["max_u2"] == 1.0 and table[0]["max_u3"] == 2.0
+    assert table[0]["ds_contact_violation"] == 0
+
+
+def test_step_metrics_writes_a_flagged_contact_violation_as_one():
+    log = GaitLog()
+    log.steps = [fake_record(0, np.zeros(6), ds_contact_violation=True)]
+    log.completed_steps = 1
+    entry = step_metrics(log)[0]
+    assert entry["ds_contact_violation"] == 1
+    assert type(entry["ds_contact_violation"]) is int
 
 
 def test_trace_has_one_impact_between_phases(one_step_log):
@@ -188,3 +202,48 @@ def test_identical_configs_reproduce_the_trace(default_cfg, one_step_log):
         b = np.array([v for v in rb if not isinstance(v, str)], dtype=float)
         assert np.array_equal(a[np.isfinite(a)], b[np.isfinite(b)])
         assert np.array_equal(np.isnan(a), np.isnan(b))
+
+
+def test_each_node_runs_the_control_pipeline_once(default_cfg, gait, params,
+                                                   monkeypatch):
+    # every pipeline run evaluates the outputs once, so counting output_data
+    # in erg counts pipeline runs
+    calls = {"output_data": 0, "rk4_step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(erg, "output_data", counted("output_data", erg.output_data))
+    monkeypatch.setattr(integrate, "rk4_step", counted("rk4_step", integrate.rk4_step))
+    log = run_walk(one_step_cfg(default_cfg))
+    assert log.completed_steps == 1, log.aborted
+    # a logged node is sampled just before the next RK4 step's first stage
+    # asks for the field there; only the event node of the one SS phase,
+    # which no stage evaluates, adds a run
+    assert calls["output_data"] == 4 * calls["rk4_step"] + 1
+
+    cols = [TRACE_COLUMNS.index(c)
+            for c in ("q1", "q2", "q3", "dq1", "dq2", "dq3", "w1", "w2")]
+    ss_rows = [r for r in log.rows if r[1] == "SS"]
+    z = np.array([ss_rows[len(ss_rows) // 2][i] for i in cols], dtype=float)
+
+    def assert_same_sample(a, b):
+        for f in dataclasses.fields(SsSample):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+    ctrl = SsController(gait, params)
+    ctrl.field(0.0, z)
+    runs = calls["output_data"]
+    kept = ctrl.sample(z)
+    assert calls["output_data"] == runs
+    assert_same_sample(kept, SsController(gait, params).sample(z))
+
+    z_next = z.copy()
+    z_next[7] = np.nextafter(z_next[7], np.inf)
+    runs = calls["output_data"]
+    moved = ctrl.sample(z_next)
+    assert calls["output_data"] == runs + 1
+    assert_same_sample(moved, SsController(gait, params).sample(z_next))

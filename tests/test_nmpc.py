@@ -4,6 +4,7 @@ import pytest
 import oracles
 from thrusterbiped import nmpc
 from thrusterbiped.dynamics import contact_kinematics, ds_dynamics
+from thrusterbiped.gait import nominal_start_state
 from thrusterbiped.nmpc import (
     NmpcController,
     NmpcProblem,
@@ -450,3 +451,16 @@ def test_predictive_braking_reaches_the_torso_rate_target(params, gait):
     # friction stays honest along the way
     ratios = np.abs(trace.lam[:, [0, 2]]) / np.maximum(trace.lam[:, [1, 3]], 1e-9)
     assert np.max(ratios) <= 0.3 + 1e-6
+
+
+def test_fast_torso_spin_flags_a_contact_violation(params, gait):
+    # from the designed start posture with both feet down, a fast torso
+    # swing under zero input lifts a foot; the trace keeps running and flags it
+    x_s = nominal_start_state(gait)
+    for rate, violated in ((5.0, False), (10.0, True)):
+        x0 = ds_state(params, x_s[0], x_s[2], rate)
+        assert x0[1] == x_s[1]
+        trace, _ = simulate_ds(x0, lambda j, x: np.zeros(3), 0.02, 2.5e-4, params)
+        assert trace.t.shape == (81,)
+        assert trace.contact_violation is violated
+        assert bool(np.min(trace.lam[:, [1, 3]]) < 0.0) is violated
