@@ -15,7 +15,15 @@ position; used around impact and in double support.
 
 All terms below are hand-derived from the point-mass Jacobians
 (``D = sum m J^T J``, ``H = sum m J^T (Jdot qdot) + grad V``) and hard-coded;
-the finite-difference oracles in the test suite gate them.
+the finite-difference oracles in the test suite gate them.  They are
+evaluated on Python floats, with no LAPACK call.
+
+The two-foot contact solve (`contact_solve`, behind double support and the
+impact map) relies on the structure of the contact Jacobian: no foot moves
+with the torso, and each foot moves one-to-one with the hip.  The system is
+then singular exactly when the legs are collinear (q2 = 0, where both feet
+coincide): its 2x2 leg block has determinant -l^2 sin q2, and a magnitude at
+or below 1e-12 (max |J_ij|)^2 raises SingularContactError.
 """
 
 from __future__ import annotations
@@ -56,11 +64,17 @@ _B_SS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 _B_EXT = np.array(
     [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 )
+# torso and hip columns of the contact Jacobian: each foot row moves with the
+# hip, and no foot moves with the torso
+_J_TORSO_HIP = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
-def _require_finite(name: str, value: np.ndarray) -> None:
-    if not np.isfinite(value).all():
+def _finite_floats(name: str, value: np.ndarray) -> list[float]:
+    """The entries of ``value`` as Python floats, all of them finite."""
+    vals = np.asarray(value, dtype=float).tolist()
+    if not all(map(isfinite, vals)):
         raise ValueError(f"{name} contains non-finite entries")
+    return vals
 
 
 def _com_moments(params: ModelParams) -> tuple[float, float, float]:
@@ -76,12 +90,8 @@ def _com_moments(params: ModelParams) -> tuple[float, float, float]:
 
 def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
     """Pinned single-support terms (stance foot at the origin)."""
-    q1, q2, q3 = np.asarray(q, dtype=float).tolist()
-    dq1, dq2, dq3 = np.asarray(dq, dtype=float).tolist()
-    if not (isfinite(q1) and isfinite(q2) and isfinite(q3)):
-        raise ValueError("q contains non-finite entries")
-    if not (isfinite(dq1) and isfinite(dq2) and isfinite(dq3)):
-        raise ValueError("dq contains non-finite entries")
+    q1, q2, q3 = _finite_floats("q", q)
+    dq1, dq2, dq3 = _finite_floats("dq", dq)
 
     mh, mT, mk = params.m_h, params.m_T, params.m_k
     l, lT = params.l, params.l_T
@@ -127,60 +137,56 @@ def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
 
 
 def _ext_terms(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams):
-    """Shared assembly for the unpinned 5-DOF model."""
+    """Shared assembly for the unpinned 5-DOF model, on Python floats."""
+    q1, q2, q3, _, _ = _finite_floats("q_e", q_e)
+    dq1, dq2, dq3, _, _ = _finite_floats("dq_e", dq_e)
     mh, mT, mk = params.m_h, params.m_T, params.m_k
     l, lT = params.l, params.l_T
     lh = 0.5 * l
     Mtot = mh + mT + 2.0 * mk
 
-    q1, q2, q3 = q_e[0], q_e[1], q_e[2]
     s1, c1 = sin(q1), cos(q1)
     s12, c12 = sin(q1 + q2), cos(q1 + q2)
     s123, c123 = sin(q1 + q2 + q3), cos(q1 + q2 + q3)
 
-    D = np.zeros((5, 5))
-    D[0, 0] = mT * lT * lT + 2.0 * mk * lh * lh
-    D[0, 1] = D[1, 0] = mT * lT * lT + mk * lh * lh
-    D[0, 2] = D[2, 0] = mT * lT * lT
-    D[1, 1] = mT * lT * lT + mk * lh * lh
-    D[1, 2] = D[2, 1] = mT * lT * lT
-    D[2, 2] = mT * lT * lT
-    D[0, 3] = D[3, 0] = -mT * lT * c123 + mk * lh * (c1 + c12)
-    D[0, 4] = D[4, 0] = -mT * lT * s123 + mk * lh * (s1 + s12)
-    D[1, 3] = D[3, 1] = -mT * lT * c123 + mk * lh * c12
-    D[1, 4] = D[4, 1] = -mT * lT * s123 + mk * lh * s12
-    D[2, 3] = D[3, 2] = -mT * lT * c123
-    D[2, 4] = D[4, 2] = -mT * lT * s123
-    D[3, 3] = Mtot
-    D[4, 4] = Mtot
+    d00 = mT * lT * lT + 2.0 * mk * lh * lh
+    d01 = mT * lT * lT + mk * lh * lh
+    d02 = mT * lT * lT
+    d11 = mT * lT * lT + mk * lh * lh
+    d12 = mT * lT * lT
+    d22 = mT * lT * lT
+    d03 = -mT * lT * c123 + mk * lh * (c1 + c12)
+    d04 = -mT * lT * s123 + mk * lh * (s1 + s12)
+    d13 = -mT * lT * c123 + mk * lh * c12
+    d14 = -mT * lT * s123 + mk * lh * s12
+    d23 = -mT * lT * c123
+    d24 = -mT * lT * s123
+    D = np.array([
+        [d00, d01, d02, d03, d04],
+        [d01, d11, d12, d13, d14],
+        [d02, d12, d22, d23, d24],
+        [d03, d13, d23, Mtot, 0.0],
+        [d04, d14, d24, 0.0, Mtot],
+    ])
 
-    dq1, dq2 = dq_e[0], dq_e[1]
     w12 = dq1 + dq2
-    w123 = w12 + dq_e[2]
+    w123 = w12 + dq3
     g = params.g
-
-    H = np.zeros(5)
-    H[0] = g * (-mT * lT * s123 + mk * lh * (s1 + s12))
-    H[1] = g * (-mT * lT * s123 + mk * lh * s12)
-    H[2] = -g * mT * lT * s123
-    H[3] = (
+    H = np.array([
+        g * (-mT * lT * s123 + mk * lh * (s1 + s12)),
+        g * (-mT * lT * s123 + mk * lh * s12),
+        -g * mT * lT * s123,
         mT * lT * s123 * w123 * w123
-        - mk * lh * (s1 * dq1 * dq1 + s12 * w12 * w12)
-    )
-    H[4] = (
+        - mk * lh * (s1 * dq1 * dq1 + s12 * w12 * w12),
         -mT * lT * c123 * w123 * w123
         + mk * lh * (c1 * dq1 * dq1 + c12 * w12 * w12)
-        + g * Mtot
-    )
+        + g * Mtot,
+    ])
     return D, H, s123, c123
 
 
 def ext_dynamics(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> DynTerms:
     """Unpinned 5-DOF terms (hip position appended), joint torques only."""
-    q_e = np.asarray(q_e, dtype=float)
-    dq_e = np.asarray(dq_e, dtype=float)
-    _require_finite("q_e", q_e)
-    _require_finite("dq_e", dq_e)
     D, H, _, _ = _ext_terms(q_e, dq_e, params)
     return DynTerms(D, H, _B_EXT)
 
@@ -192,15 +198,14 @@ def ds_dynamics(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> DynTe
     torso-link axis.  Applied at the torso mass point it exerts no moment on
     the joint coordinates and acts on the hip-translation rows only.
     """
-    q_e = np.asarray(q_e, dtype=float)
-    dq_e = np.asarray(dq_e, dtype=float)
-    _require_finite("q_e", q_e)
-    _require_finite("dq_e", dq_e)
     D, H, s123, c123 = _ext_terms(q_e, dq_e, params)
-    B = np.zeros((5, 3))
-    B[:, :2] = _B_EXT
-    B[3, 2] = s123
-    B[4, 2] = -c123
+    B = np.array([
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, s123],
+        [0.0, 0.0, -c123],
+    ])
     return DynTerms(D, H, B)
 
 
@@ -208,38 +213,29 @@ def contact_kinematics(
     q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams
 ) -> ContactKinematics:
     """Both foot positions plus J and its velocity-product term."""
-    q_e = np.asarray(q_e, dtype=float)
-    dq_e = np.asarray(dq_e, dtype=float)
-    _require_finite("q_e", q_e)
-    _require_finite("dq_e", dq_e)
+    q1, q2, _, xh, yh = _finite_floats("q_e", q_e)
+    dq1, dq2, _, _, _ = _finite_floats("dq_e", dq_e)
 
     l = params.l
-    q1, q2 = q_e[0], q_e[1]
-    xh, yh = q_e[3], q_e[4]
     s1, c1 = sin(q1), cos(q1)
     s12, c12 = sin(q1 + q2), cos(q1 + q2)
 
     p1 = np.array([xh + l * s1, yh - l * c1])
     p2 = np.array([xh + l * s12, yh - l * c12])
+    J = np.array([
+        [l * c1, 0.0, 0.0, 1.0, 0.0],
+        [l * s1, 0.0, 0.0, 0.0, 1.0],
+        [l * c12, l * c12, 0.0, 1.0, 0.0],
+        [l * s12, l * s12, 0.0, 0.0, 1.0],
+    ])
 
-    J = np.zeros((4, 5))
-    J[0, 0] = l * c1
-    J[1, 0] = l * s1
-    J[0, 3] = J[2, 3] = 1.0
-    J[1, 4] = J[3, 4] = 1.0
-    J[2, 0] = J[2, 1] = l * c12
-    J[3, 0] = J[3, 1] = l * s12
-
-    dq1 = dq_e[0]
-    w12 = dq1 + dq_e[1]
-    jdot_qdot = np.array(
-        [
-            -l * s1 * dq1 * dq1,
-            l * c1 * dq1 * dq1,
-            -l * s12 * w12 * w12,
-            l * c12 * w12 * w12,
-        ]
-    )
+    w12 = dq1 + dq2
+    jdot_qdot = np.array([
+        -l * s1 * dq1 * dq1,
+        l * c1 * dq1 * dq1,
+        -l * s12 * w12 * w12,
+        l * c12 * w12 * w12,
+    ])
     return ContactKinematics(p1, p2, J, jdot_qdot)
 
 
@@ -326,8 +322,8 @@ def pinned_vector_field(x_s: np.ndarray, u: np.ndarray, params: ModelParams) -> 
     u = np.asarray(u, dtype=float)
     if x_s.shape != (6,):
         raise ValueError("x_s must have shape (6,)")
-    _require_finite("x_s", x_s)
-    _require_finite("u", u)
+    _finite_floats("x_s", x_s)
+    _finite_floats("u", u)
     q, dq = x_s[:3], x_s[3:]
     terms = ss_dynamics(q, dq, params)
     ddq = solve_ddq(terms, terms.B @ u - terms.H)
@@ -379,19 +375,74 @@ def contact_solve(
     """Solve the contact saddle-point system ``[[D, -J^T], [J, 0]]``.
 
     ``D x - J^T lam = rhs_dyn`` and ``J x = rhs_con``; the right-hand sides
-    may carry several columns.  Returns (x, lam).  Used for the constrained
-    flow (x = accelerations, lam = forces) and for the impact (x = post-impact
-    velocities, lam = impulses).
+    are vectors or blocks of columns, (5,) and (4,) or (5, k) and (4, k).
+    Returns (x, lam).  Used for the constrained flow (x = accelerations,
+    lam = forces) and for the impact (x = post-impact velocities,
+    lam = impulses).
+
+    Solved by null-space elimination on Python floats.  J must have the
+    model's structure: a zero torso column and unit hip columns, so that
+    rows (p2 - p1) leave the 2x2 leg block L = J[2:, :2] - J[:2, :2].  L
+    gives the two leg coordinates, rows p1 the hip, the torso row D[2] the
+    torso coordinate, and J^T lam = D x - rhs_dyn the forces.  A J without
+    that structure raises ValueError.  The system is singular, and raises
+    SingularContactError, when |det L| (-l^2 sin q2 for the model's J) is at
+    or below 1e-12 (max |J_ij|)^2, i.e. the legs are (nearly) collinear, or
+    when the result is not finite.
     """
-    n, m = D.shape[0], J.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = D
-    kkt[:n, n:] = -J.T
-    kkt[n:, :n] = J
-    if np.linalg.cond(kkt) > 1e12:
-        raise SingularContactError("contact KKT matrix is ill-conditioned")
-    sol = np.linalg.solve(kkt, np.concatenate([rhs_dyn, rhs_con]))
-    return sol[:n], sol[n:]
+    J_rows = np.asarray(J, dtype=float).tolist()
+    if [row[2:] for row in J_rows] != _J_TORSO_HIP:
+        raise ValueError("J must have a zero torso column and unit hip columns")
+    (a00, a01), (a10, a11), (a20, a21), (a30, a31) = [row[:2] for row in J_rows]
+    L00, L01, L10, L11 = a20 - a00, a21 - a01, a30 - a10, a31 - a11
+    det = L00 * L11 - L01 * L10
+    big = max(1.0, abs(a00), abs(a01), abs(a10), abs(a11),
+              abs(a20), abs(a21), abs(a30), abs(a31))
+    if not abs(det) > 1e-12 * big * big:
+        raise SingularContactError("contact legs are (nearly) collinear")
+    D0, D1, D2, D3, D4 = np.asarray(D, dtype=float).tolist()
+    D00, D01, D02, D03, D04 = D0
+    D10, D11, D12, D13, D14 = D1
+    D20, D21, D22, D23, D24 = D2
+    D30, D31, D32, D33, D34 = D3
+    D40, D41, D42, D43, D44 = D4
+    if not D22 > 0.0:
+        raise SingularContactError("torso inertia is not positive")
+
+    dyn = np.asarray(rhs_dyn, dtype=float)
+    con = np.asarray(rhs_con, dtype=float)
+    if dyn.shape[1:] != con.shape[1:]:
+        raise ValueError("rhs_dyn and rhs_con need the same number of columns")
+    if dyn.ndim == 1:
+        cols = [(dyn.tolist(), con.tolist())]
+    else:
+        cols = zip(dyn.T.tolist(), con.T.tolist())
+    xs, lams = [], []
+    for (f0, f1, f2, f3, f4), (r0, r1, r2, r3) in cols:
+        e0, e1 = r2 - r0, r3 - r1
+        x0 = (L11 * e0 - L01 * e1) / det
+        x1 = (L00 * e1 - L10 * e0) / det
+        x3 = r0 - a00 * x0 - a01 * x1
+        x4 = r1 - a10 * x0 - a11 * x1
+        x2 = (f2 - D20 * x0 - D21 * x1 - D23 * x3 - D24 * x4) / D22
+        # J^T lam = w = D x - rhs_dyn; the hip columns give lam_p1 + lam_p2
+        w0 = D00 * x0 + D01 * x1 + D02 * x2 + D03 * x3 + D04 * x4 - f0
+        w1 = D10 * x0 + D11 * x1 + D12 * x2 + D13 * x3 + D14 * x4 - f1
+        w3 = D30 * x0 + D31 * x1 + D32 * x2 + D33 * x3 + D34 * x4 - f3
+        w4 = D40 * x0 + D41 * x1 + D42 * x2 + D43 * x3 + D44 * x4 - f4
+        b0 = w0 - a00 * w3 - a10 * w4
+        b1 = w1 - a01 * w3 - a11 * w4
+        lam2 = (L11 * b0 - L10 * b1) / det
+        lam3 = (L00 * b1 - L01 * b0) / det
+        x = (x0, x1, x2, x3, x4)
+        lam = (w3 - lam2, w4 - lam3, lam2, lam3)
+        if not (all(map(isfinite, x)) and all(map(isfinite, lam))):
+            raise SingularContactError("non-finite contact solution")
+        xs.append(x)
+        lams.append(lam)
+    if dyn.ndim == 1:
+        return np.array(xs[0]), np.array(lams[0])
+    return np.array(xs).T, np.array(lams).T
 
 
 def ss_contact_force(

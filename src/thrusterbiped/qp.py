@@ -6,8 +6,13 @@ violated constraints one at a time, so it needs no feasible starting point;
 that matters here because the predictive controller's friction rows are
 violated at zero input exactly when the controller has work to do.
 
-Sizes in this project are small (tens of variables, hundreds of rows), so
-each step refactors instead of carrying rank-one updates.
+P is factored once per call, P = L L', and the solver works from
+J0 = L^-T as Goldfarb and Idnani do (1983, Math. Prog. 27), so every P^-1
+product of an iteration is a matrix-vector product with J0 J0'.  Sizes in
+this project are small (tens of variables, hundreds of rows), so each step
+solves the small active-set system afresh instead of carrying rank-one
+updates of a factorization.  A P that is not positive definite raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -42,7 +47,13 @@ def solve_qp(
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
-    z = -np.linalg.solve(P, q)
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        raise ValueError("P must be positive definite") from None
+    J0 = np.linalg.inv(L).T
+    P_inv = J0 @ J0.T
+    z = -(P_inv @ q)
     if G is None or len(G) == 0:
         return QpSolution(z, OPTIMAL, 0, [], np.zeros(0))
 
@@ -82,10 +93,10 @@ def solve_qp(
             if iters > max_iter:
                 return QpSolution(z, MAX_ITER, iters, list(active), None)
 
-            Pia = np.linalg.solve(P, a)
+            Pia = P_inv @ a
             if active:
                 N = Gn[active] * -1.0  # active normals, rows
-                PiNT = np.linalg.solve(P, N.T)
+                PiNT = P_inv @ N.T
                 M = N @ PiNT
                 r = np.linalg.solve(M, N @ Pia)
                 zdir = Pia - PiNT @ r

@@ -304,6 +304,25 @@ def fbl_torque(od, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# contact saddle-point system by a dense LU solve
+
+def contact_solve_dense(D: np.ndarray, J: np.ndarray, rhs_dyn: np.ndarray,
+                        rhs_con: np.ndarray):
+    """(x, lam) of ``[[D, -J'], [J, 0]] [x; lam] = [rhs_dyn; rhs_con]``.
+
+    One pivoted LU solve of the assembled matrix, with no use of J's
+    structure; the package's former contact solve.
+    """
+    n, m = D.shape[0], J.shape[0]
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = D
+    kkt[:n, n:] = -J.T
+    kkt[n:, :n] = J
+    sol = np.linalg.solve(kkt, np.concatenate([rhs_dyn, rhs_con]))
+    return sol[:n], sol[n:]
+
+
+# ---------------------------------------------------------------------------
 # impact by velocity projection
 
 def impact_projection(D: np.ndarray, J: np.ndarray, dq_minus: np.ndarray):

@@ -47,6 +47,16 @@ def test_ss_dynamics_rejects_non_finite_states(params, name):
         ss_dynamics(state["q"], state["dq"], params)
 
 
+@pytest.mark.parametrize("fn", [ext_dynamics, ds_dynamics, contact_kinematics])
+@pytest.mark.parametrize("name", ["q_e", "dq_e"])
+def test_extended_terms_reject_non_finite_states(params, fn, name):
+    for bad in (np.nan, np.inf):
+        state = {"q_e": np.zeros(5), "dq_e": np.zeros(5)}
+        state[name][3] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+            fn(state["q_e"], state["dq_e"], params)
+
+
 def test_solve_ddq_rejects_a_singular_mass_matrix(params):
     terms = ss_dynamics(np.zeros(3), np.zeros(3), params)
     D = np.ones((3, 3))  # rank one, determinant exactly zero
@@ -332,3 +342,32 @@ def test_power_balance_along_forced_motion(params):
     dE = (4.0 * d1 - d2) / 3.0
     power = res.x[mid][4:6] @ u
     assert abs(dE - power) < 1e-8
+
+
+def test_contact_solve_matches_the_dense_kkt_solve(params, rng):
+    for _ in range(200):
+        q_e, dq_e = random_extended_state(rng)
+        D = ext_dynamics(q_e, dq_e, params).D
+        J = contact_kinematics(q_e, dq_e, params).J
+        for rhs_dyn, rhs_con in (
+            (rng.standard_normal(5), rng.standard_normal(4)),
+            (rng.standard_normal((5, 4)), rng.standard_normal((4, 4))),
+        ):
+            x, lam = contact_solve(D, J, rhs_dyn, rhs_con)
+            x_ref, lam_ref = oracles.contact_solve_dense(D, J, rhs_dyn, rhs_con)
+            assert x.shape == x_ref.shape and lam.shape == lam_ref.shape
+            assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
+            assert np.max(np.abs(lam - lam_ref)) <= 1e-10 * np.max(np.abs(lam_ref))
+
+
+def test_contact_solve_rejects_a_jacobian_without_the_model_structure(params, rng):
+    q_e, dq_e = random_extended_state(rng)
+    D = ext_dynamics(q_e, dq_e, params).D
+    J = contact_kinematics(q_e, dq_e, params).J
+    torso = J.copy()
+    torso[1, 2] = 0.1  # a foot that moves with the torso
+    hip = J.copy()
+    hip[2, 3] = 2.0
+    for bad in (torso, hip, J[:3]):
+        with pytest.raises(ValueError, match="zero torso column and unit hip"):
+            contact_solve(D, bad, np.ones(5), np.ones(4))

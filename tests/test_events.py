@@ -143,6 +143,23 @@ def test_impact_rejects_coincident_feet(params):
         impact_map(q_e, dq_e, params)
 
 
+def test_impact_rejects_nearly_collinear_legs(params):
+    # leg-block determinant -l^2 sin(1e-13) ~ -4e-14, below the 1e-12 bound
+    q_e, dq_e = extend_pinned_state(
+        np.array([0.2, 1e-13, 0.1]), np.array([0.5, 0.1, -0.2]),
+        np.zeros(2), params)
+    with pytest.raises(SingularImpactError):
+        impact_map(q_e, dq_e, params)
+
+
+def test_impact_states_stay_clear_of_the_collinear_guard(params, rng):
+    # |q2| >= 0.15 keeps the leg-block determinant l^2 |sin q2| near 0.06,
+    # ten orders above the guard
+    for _ in range(2000):
+        q_e, dq_e = impact_state(rng, params)
+        impact_map(q_e, dq_e, params)
+
+
 def test_relabel_is_an_involution(params, rng):
     assert np.array_equal(RELABEL_Q @ RELABEL_Q, np.eye(3))
     q_e, dq_e = impact_state(rng, params)

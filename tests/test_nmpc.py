@@ -4,6 +4,7 @@ import pytest
 import oracles
 from thrusterbiped import nmpc
 from thrusterbiped.dynamics import contact_kinematics, ds_dynamics
+from thrusterbiped.errors import SingularContactError
 from thrusterbiped.gait import nominal_start_state
 from thrusterbiped.nmpc import (
     NmpcController,
@@ -63,6 +64,25 @@ def test_ds_rhs_matches_nullspace_oracle(rng, params):
         scale = 1.0 + np.max(np.abs(ddq_ref))
         assert np.max(np.abs(forces.ddq - ddq_ref)) < 1e-8 * scale
         assert np.max(np.abs(forces.lam - lam_ref)) < 1e-8 * (1 + np.max(np.abs(lam_ref)))
+
+
+@pytest.mark.parametrize("q2", [0.0, 1e-13])
+def test_ds_rhs_rejects_collinear_legs(params, q2):
+    # the leg-block determinant -l^2 sin q2 is 0 or ~ -4e-14, at or below
+    # the 1e-12 bound
+    x = np.zeros(10)
+    x[:5] = [0.2, q2, 0.1, -params.l * np.sin(0.2), params.l * np.cos(0.2)]
+    with pytest.raises(SingularContactError):
+        ds_rhs(x, np.zeros(3), params)
+    with pytest.raises(SingularContactError):
+        ds_affine_maps(x, params)
+
+
+def test_ds_states_stay_clear_of_the_collinear_guard(rng, params):
+    for _ in range(2000):
+        x = ds_state(params, rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5),
+                     rng.uniform(-3.0, 3.0))
+        ds_rhs(x, rng.uniform(-3.0, 3.0, 3), params)
 
 
 def test_ds_rhs_keeps_the_feet_pinned(rng, params):

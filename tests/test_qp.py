@@ -46,6 +46,15 @@ def test_infeasible_pair_detected():
     assert sol.status == INFEASIBLE
 
 
+def test_indefinite_hessian_rejected():
+    # min 0.5 (z1^2 - z2^2) + z2 is unbounded below along z2; its stationary
+    # point (0, 1) is a saddle, not a minimum
+    with pytest.raises(ValueError, match="P must be positive definite"):
+        solve_qp(np.diag([1.0, -1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="P must be positive definite"):
+        solve_qp(np.diag([1.0, 0.0]), np.zeros(2), np.eye(2), np.ones(2))
+
+
 def test_zero_row_rejected():
     G = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
