@@ -35,7 +35,7 @@ from .events import impact_map, relabel, touchdown_guard
 from .gait import GaitDesignSpec, GaitParams, design_gait, zero_dynamics_residual
 from .harness import GaitLog, run_walk, step_metrics, write_logs
 from .nmpc import NmpcController, NmpcProblem, simulate_ds, solve_nmpc
-from .params import ModelParams, default_model_params
+from .params import ModelParams
 from .qp import solve_qp
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "SingularImpactError",
     "SsController",
     "contact_kinematics",
-    "default_model_params",
     "default_scenario",
     "design_gait",
     "ds_dynamics",

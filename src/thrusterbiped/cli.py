@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import GaitConfig, ScenarioConfig, default_scenario, load_config
+from .config import GaitConfig, ScenarioConfig, _write_lines, default_scenario, load_config
 from .errors import (
     BipedError,
     ConfigError,
@@ -73,8 +73,7 @@ def cmd_design_gait(args) -> int:
     fragment = {"gait": dataclasses.asdict(GaitConfig.from_gait(gait))}
     text = json.dumps(fragment, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_lines(args.out, [text])
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -131,10 +130,9 @@ def cmd_sweep(args) -> int:
     cols = ["u_max", "completed_steps", "aborted", "max_abs_u",
             "max_tracking_error", "out_dir"]
     path = os.path.join(out_root, "sweep_summary.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for entry in results:
-            fh.write(",".join(str(entry[c]) for c in cols) + "\n")
+    lines = [",".join(cols) + "\n"]
+    lines += [",".join(str(entry[c]) for c in cols) + "\n" for entry in results]
+    _write_lines(path, lines)
     for entry in results:
         sys.stdout.write(
             f"u_max={entry['u_max']:g}: steps={entry['completed_steps']} "

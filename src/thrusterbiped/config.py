@@ -14,6 +14,7 @@ plain-string fallback.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -117,9 +118,6 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
-        bez = np.asarray(self.gait.bezier, dtype=float)
-        if bez.shape != (2, 6):
-            raise ConfigError("gait.bezier must be a 2x6 table")
         for name, vec, n in (
             ("gait.kp", self.gait.kp, 2), ("gait.kd", self.gait.kd, 2),
             ("gait.u_max", self.gait.u_max, 2), ("gait.x_max", self.gait.x_max, 4),
@@ -127,16 +125,20 @@ class ScenarioConfig:
         ):
             if len(vec) != n:
                 raise ConfigError(f"{name} must have {n} entries")
-        if self.sim.dt_ss <= 0.0 or self.sim.dt_ds <= 0.0:
-            raise ConfigError("integration steps must be positive")
-        if self.sim.n_steps < 0:
-            raise ConfigError("sim.n_steps must be nonnegative")
-        if self.sim.ds_envelope <= 0.0:
-            raise ConfigError("sim.ds_envelope must be positive")
-        if self.nmpc.T_s <= 0.0:
-            raise ConfigError("nmpc.T_s must be positive")
-        if self.io.log_decimation < 1:
-            raise ConfigError("io.log_decimation must be >= 1")
+        for failed, problem in (
+            (min(self.nmpc.w_x) < 0.0, "nmpc.w_x entries must be nonnegative"),
+            (min(self.nmpc.w_eta) <= 0.0, "nmpc.w_eta entries must be positive"),
+            (self.erg.sign_eps <= 0.0, "erg.sign_eps must be positive"),
+            (self.sim.mu_s <= 0.0, "sim.mu_s must be positive"),
+            (self.sim.dt_ss <= 0.0 or self.sim.dt_ds <= 0.0,
+             "integration steps must be positive"),
+            (self.sim.n_steps < 0, "sim.n_steps must be nonnegative"),
+            (self.sim.ds_envelope <= 0.0, "sim.ds_envelope must be positive"),
+            (self.nmpc.T_s <= 0.0, "nmpc.T_s must be positive"),
+            (self.io.log_decimation < 1, "io.log_decimation must be >= 1"),
+        ):
+            if failed:
+                raise ConfigError(problem)
         for name, check in (("model", self.model.validate),
                             ("gait", self.gait.to_gait)):
             try:
@@ -155,6 +157,21 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+def _has_json_type(value, type_name: str) -> bool:
+    """Whether a JSON value fits a field declared as ``type_name``.
+
+    An int fits a float; a bool is never a number; a list holds numbers or
+    lists of them.
+    """
+    if type_name == "list":
+        return isinstance(value, list) and all(
+            _has_json_type(v, "float") or _has_json_type(v, "list") for v in value)
+    if isinstance(value, bool):
+        return type_name == "bool"
+    return isinstance(value, {"float": (int, float), "int": int, "str": str,
+                              "bool": bool}[type_name])
+
+
 def _build_section(cls, data: dict, where: str):
     names = [f.name for f in dataclasses.fields(cls)]
     unknown = sorted(set(data) - set(names))
@@ -167,7 +184,9 @@ def _build_section(cls, data: dict, where: str):
     kwargs = {}
     for f in dataclasses.fields(cls):
         value = data[f.name]
-        if f.type == "float" and isinstance(value, int) and not isinstance(value, bool):
+        if not _has_json_type(value, f.type):
+            raise ConfigError(f"{where}.{f.name} must be of type {f.type}")
+        if f.type == "float":
             value = float(value)
         kwargs[f.name] = value
     return cls(**kwargs)
@@ -229,10 +248,25 @@ def load_config(path: str, apply_env: bool = True) -> ScenarioConfig:
     return dict_to_config(data)
 
 
+def _write_lines(path: str, lines) -> None:
+    """Stream the strings of ``lines`` into ``path``, all or nothing.
+
+    They go to ``path + ".tmp"``, renamed to ``path`` once complete and
+    removed on any failure, which leaves ``path`` untouched.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_config(cfg: ScenarioConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(config_to_dict(cfg))
+    _write_lines(path, itertools.chain(chunks, ["\n"]))
 
 
 def default_scenario() -> ScenarioConfig:

@@ -446,9 +446,9 @@ def contact_solve(
 
 
 def ss_contact_force(
-    q: np.ndarray, dq: np.ndarray, u: np.ndarray, params: ModelParams
+    q: np.ndarray, dq: np.ndarray, ddq: np.ndarray, params: ModelParams
 ) -> np.ndarray:
-    """Stance-foot reaction (lam_T, lam_N) implied by the pinned model.
+    """Stance-foot reaction (lam_T, lam_N) for pinned joint accelerations ddq.
 
     The pinned model never produces this force itself, but the friction cone
     still has to hold for the pin to be physical.  Gravity and the reaction
@@ -456,14 +456,12 @@ def ss_contact_force(
     centre of mass gives it: lam = M a_com + (0, M g).  With the link angles
     phi = (q1, q1 + q2, q1 + q2 + q3) and e(phi) = (-sin phi, cos phi), the
     mass moment is M p_com = sum_k c_k e(phi_k), so M a_com is the sum of
-    c_k (e'(phi_k) ddphi_k + e''(phi_k) dphi_k^2) with ddq from the pinned
-    dynamics.
+    c_k (e'(phi_k) ddphi_k + e''(phi_k) dphi_k^2).  ddq is taken as given:
+    the single-support controller passes the accelerations it integrates.
     """
-    terms = ss_dynamics(q, dq, params)
-    ddq = solve_ddq(terms, terms.B @ np.asarray(u, dtype=float) - terms.H)
     q1, q2, q3 = np.asarray(q, dtype=float).tolist()
     dq1, dq2, dq3 = np.asarray(dq, dtype=float).tolist()
-    a1, a2, a3 = ddq.tolist()
+    a1, a2, a3 = np.asarray(ddq, dtype=float).tolist()
     lamT = 0.0
     lamN = params.weight
     for ck, phi, rate, acc in zip(

@@ -153,7 +153,7 @@ def governor_rate(
 
 @dataclass
 class SsSample:
-    """Everything the harness logs at one SS integration node."""
+    """Everything the harness logs at one SS node; ddq is what the field integrates."""
 
     u: np.ndarray
     u_raw: np.ndarray
@@ -166,15 +166,16 @@ class SsSample:
     dh_d_dt: np.ndarray
     s: float
     saturated: bool
+    ddq: np.ndarray
 
 
 class SsController:
     """Stateful SS layer: augmented field in z = (q, dq, w).
 
     The governor state w rides along with the mechanical state so a single
-    RK4 pass integrates both consistently.  The last pipeline evaluation is
-    kept, keyed by the bytes of z: a node sampled for the log is exactly the
-    state at which the next RK4 step's first stage calls the field, and a
+    RK4 pass integrates both consistently.  The last pipeline evaluation, ddq
+    included, is kept, keyed by the bytes of z: a node sampled for the log is
+    the state at which the next RK4 step's first stage calls the field, and a
     byte-exact key can never hand back the result for another state.
     """
 
@@ -226,19 +227,19 @@ class SsController:
         u_raw = partitioned_torque(x_s, dw, v, self.params, terms=terms)
         u = np.array([min(max(ui, -cap), cap)
                       for ui, cap in zip(u_raw.tolist(), self.gait.u_max.tolist())])
-        result = terms, od, V, Gamma, dw, u, u_raw
+        ddq = solve_ddq(terms, terms.B @ u - terms.H)
+        result = ddq, od, V, Gamma, dw, u, u_raw
         self._last = (key, result)
         return result
 
     def field(self, t: float, z: np.ndarray) -> np.ndarray:
-        terms, _, _, _, dw, u, _ = self._pipeline(z)
-        ddq = solve_ddq(terms, terms.B @ u - terms.H)
+        ddq, _, _, _, dw, _, _ = self._pipeline(z)
         return np.concatenate((z[3:6], ddq, dw))
 
     def sample(self, z: np.ndarray) -> SsSample:
         """Logged quantities at z, as copies that leave the kept result intact."""
-        _, od, V, Gamma, _, u, u_raw = self._pipeline(z)
+        ddq, od, V, Gamma, _, u, u_raw = self._pipeline(z)
         sat = bool(np.any(np.abs(u_raw) > self.gait.u_max + 1e-12))
         return SsSample(u.copy(), u_raw.copy(), od.y.copy(), od.dy.copy(), V,
                         Gamma, z[6:8].copy(), od.h_d.copy(), od.dh_d_dt.copy(),
-                        od.s, sat)
+                        od.s, sat, ddq.copy())

@@ -42,7 +42,7 @@ class GaitParams:
     def __post_init__(self) -> None:
         self.bezier = np.asarray(self.bezier, dtype=float)
         if self.bezier.shape != (2, BEZIER_DEGREE + 1):
-            raise ValueError("bezier coefficients must have shape (2, 6)")
+            raise ValueError(f"bezier must be a 2x{BEZIER_DEGREE + 1} table")
         if self.theta_minus == self.theta_plus:
             raise ValueError("theta_minus must differ from theta_plus")
         self.kp = np.asarray(self.kp, dtype=float)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ScenarioConfig, save_config
+from .config import ScenarioConfig, _write_lines, save_config
 from .dynamics import (
     hip_position_pinned,
     hip_velocity_pinned,
@@ -158,7 +158,7 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
             """One SS trace row, logged where the integrator creates the node."""
             nonlocal max_abs_u, saturations, min_lam_n, max_ratio
             smp = ss_ctrl.sample(zi)
-            lam1 = ss_contact_force(zi[:3], zi[3:6], smp.u, params)
+            lam1 = ss_contact_force(zi[:3], zi[3:6], smp.ddq, params)
             hip = stance + hip_position_pinned(zi[:3], params)
             dhip = hip_velocity_pinned(zi[:3], zi[3:6], params)
             log.rows.append([
@@ -323,11 +323,17 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _csv_lines(columns: list[str], rows):
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(_fmt(v) for v in row) + "\n"
+
+
 def write_logs(log: GaitLog, out_dir: str, cfg: ScenarioConfig) -> dict[str, str]:
     """Write trace.csv, steps.csv, scenario_resolved.json, summary.txt.
 
-    Files are written atomically (temp + rename); on failure everything
-    created by this call is removed.
+    Each file appears only once complete (temp + rename); on failure every
+    file written by this call is removed.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
@@ -337,37 +343,19 @@ def write_logs(log: GaitLog, out_dir: str, cfg: ScenarioConfig) -> dict[str, str
         "config": os.path.join(out_dir, "scenario_resolved.json"),
         "summary": os.path.join(out_dir, "summary.txt"),
     }
-    dec = cfg.io.log_decimation
+    steps = ([entry[c] for c in STEP_COLUMNS] for entry in step_metrics(log))
     try:
-        tmp = paths["trace"] + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for row in log.rows[::dec]:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        os.replace(tmp, paths["trace"])
+        _write_lines(paths["trace"],
+                     _csv_lines(TRACE_COLUMNS, log.rows[::cfg.io.log_decimation]))
         written.append(paths["trace"])
-
-        tmp = paths["steps"] + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(",".join(STEP_COLUMNS) + "\n")
-            for entry in step_metrics(log):
-                fh.write(",".join(_fmt(entry[c]) for c in STEP_COLUMNS) + "\n")
-        os.replace(tmp, paths["steps"])
+        _write_lines(paths["steps"], _csv_lines(STEP_COLUMNS, steps))
         written.append(paths["steps"])
-
         save_config(cfg, paths["config"])
         written.append(paths["config"])
-
-        tmp = paths["summary"] + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(summary_text(log))
-        os.replace(tmp, paths["summary"])
-        written.append(paths["summary"])
+        _write_lines(paths["summary"], [summary_text(log)])
     except Exception:
-        for p in written + [paths["trace"] + ".tmp", paths["steps"] + ".tmp",
-                            paths["summary"] + ".tmp"]:
-            if os.path.exists(p):
-                os.remove(p)
+        for p in written:
+            os.remove(p)
         raise
     return paths
 

@@ -9,21 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-# Catalog values for the reference vehicle, in grams / centimeters as the
-# hardware documentation lists them.  Converted to SI by default_model_params.
-CATALOG_GRAMS_CM = {
-    "m_T_g": 300.0,   # torso mass
-    "m_h_g": 200.0,   # hip mass
-    "m_k_g": 100.0,   # each leg mass
-    "l_T_cm": 30.0,   # hip -> torso mass point
-    "l_cm": 63.25,    # leg length (foot -> hip)
-}
-
 
 @dataclass
 class ModelParams:
     """SI parameters shared by every dynamics flavor.
 
+    The defaults are the reference vehicle's catalog values (300 g torso,
+    200 g hip, 100 g per leg, 30 cm hip to torso mass, 63.25 cm legs).
     d is the Baumgarte-style velocity damping used by the double-support
     constraint equations (1/s); f_th_max the thrust magnitude limit (N).
     This dataclass is also the `model` section of a scenario config, so its
@@ -60,15 +52,3 @@ class ModelParams:
             raise ValueError("ModelParams.d must be non-negative")
         if self.f_th_max < 0.0:
             raise ValueError("ModelParams.f_th_max must be non-negative")
-
-
-def default_model_params() -> ModelParams:
-    """Catalog masses/lengths converted from grams and centimeters to SI."""
-    c = CATALOG_GRAMS_CM
-    return ModelParams(
-        m_T=c["m_T_g"] / 1000.0,
-        m_h=c["m_h_g"] / 1000.0,
-        m_k=c["m_k_g"] / 1000.0,
-        l_T=c["l_T_cm"] / 100.0,
-        l=c["l_cm"] / 100.0,
-    )

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .config import _write_lines
+
 WIDTH, HEIGHT = 720, 480
 MARGIN = 60.0
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -116,8 +118,7 @@ def write_line_plot(
         parts.append(
             f'<text x="{WIDTH - 120}" y="{ly + 4}" font-size="11">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_lines(path, (part + "\n" for part in parts))
 
 
 def emit_run_plots(log, out_dir: str) -> list[str]:

@@ -6,12 +6,12 @@ import pytest
 from thrusterbiped.config import default_scenario
 from thrusterbiped.gait import GaitDesignSpec, design_gait
 from thrusterbiped.harness import run_walk
-from thrusterbiped.params import default_model_params
+from thrusterbiped.params import ModelParams
 
 
 @pytest.fixture(scope="session")
 def params():
-    return default_model_params()
+    return ModelParams()
 
 
 @pytest.fixture(scope="session")

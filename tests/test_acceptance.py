@@ -27,7 +27,7 @@ from thrusterbiped.gait import GaitDesignSpec, design_gait, output_data
 from thrusterbiped.harness import max_tracking_error, run_walk, step_metrics, write_logs
 from thrusterbiped.integrate import integrate_rk4
 from thrusterbiped.nmpc import NmpcProblem, reference_trajectory, solve_nmpc
-from thrusterbiped.params import default_model_params
+from thrusterbiped.params import ModelParams
 
 DS_ENVELOPE = 0.02
 U_MAX_LEVELS = (("generous", 3.0), ("moderate", 1.4), ("conservative", 1.2))
@@ -149,7 +149,7 @@ def _max_inertial_lift(log, params):
 
 def test_criterion_3_thrust_raises_the_normal_force_above_static_weight(
         default_run, ablation_run):
-    params = default_model_params()
+    params = ModelParams()
     weight = params.weight
     assert weight == pytest.approx(6.867, abs=1e-3)
 
@@ -199,7 +199,7 @@ def test_criterion_5_invariance_residual_shrinks_and_steps_converge(default_run)
 
 
 def test_criterion_6a_impact_map_matches_momentum_projection():
-    params = default_model_params()
+    params = ModelParams()
     rng = np.random.default_rng(7)
     for _ in range(1000):
         q_e, dq_e = impact_state(rng, params)
@@ -212,7 +212,7 @@ def test_criterion_6a_impact_map_matches_momentum_projection():
 
 
 def test_criterion_6b_mass_matrices_match_energy_hessians():
-    params = default_model_params()
+    params = ModelParams()
     rng = np.random.default_rng(7)
     for _ in range(50):
         q = rng.uniform(-0.5, 0.5, 3)
@@ -225,7 +225,7 @@ def test_criterion_6b_mass_matrices_match_energy_hessians():
 
 
 def test_criterion_6c_passive_energy_drift_stays_below_tolerance():
-    params = default_model_params()
+    params = ModelParams()
     x0 = np.array([0.12, -0.2, 0.15, 0.3, -0.1, 0.2])
 
     def field(t, x):
@@ -244,7 +244,7 @@ def test_criterion_6c_passive_energy_drift_stays_below_tolerance():
 def test_criterion_6d_predictive_program_matches_a_brute_force_grid():
     # frozen low-dimensional instance: both torque channels carry prohibitive
     # move cost, leaving three boxed thrust decisions a dense grid can search
-    params = default_model_params()
+    params = ModelParams()
     q1 = 0.1
     x1 = np.array([q1, -2 * q1, 0.2,
                    -params.l * np.sin(q1), params.l * np.cos(q1),
@@ -285,7 +285,7 @@ def test_criterion_6d_predictive_program_matches_a_brute_force_grid():
 
 
 def test_criterion_6e_governor_bound_matches_the_distance_oracle():
-    params = default_model_params()
+    params = ModelParams()
     gait = design_gait(GaitDesignSpec(), params)
     rng = np.random.default_rng(7)
     for i in range(50):

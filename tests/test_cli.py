@@ -39,6 +39,15 @@ def test_validate_accepts_the_default_scenario(scenario, capsys):
     ("sim", "seed", 0),
     ("model", "l", -1.0),
     ("gait", "kp", [0.0, 100.0]),
+    ("sim", "n_steps", 0.0),
+    ("io", "log_decimation", 1.0),
+    ("erg", "enabled", "no"),
+    ("nmpc", "w_eta", [1e-3, 0.0, 1e-4]),
+    ("nmpc", "w_x", [-1.0] + [1.0] * 9),
+    ("erg", "sign_eps", 0),
+    ("sim", "mu_s", -0.3),
+    ("erg", "kappa", True),
+    ("gait", "bezier", [[0.0] * 6, [0.0] * 5]),
 ])
 def test_validate_rejects_bad_configs(scenario, capsys, section, key, value):
     path = edited(scenario, section, key, value)

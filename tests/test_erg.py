@@ -6,7 +6,8 @@ import pytest
 import oracles
 from conftest import random_pinned_state
 from test_gait import on_manifold_state
-from thrusterbiped.dynamics import DynTerms, ss_dynamics, solve_ddq
+from thrusterbiped import erg
+from thrusterbiped.dynamics import DynTerms, pinned_vector_field, ss_dynamics, solve_ddq
 from thrusterbiped.erg import (
     GAMMA_CAP,
     ConstraintData,
@@ -299,10 +300,30 @@ def test_writing_into_a_sample_leaves_the_kept_evaluation_intact(gait, params):
 
     ctrl = SsController(gait, params)
     smp = ctrl.sample(z)
-    for arr in (smp.u, smp.u_raw, smp.y, smp.dy, smp.w, smp.h_d, smp.dh_d_dt):
+    for arr in (smp.u, smp.u_raw, smp.y, smp.dy, smp.w, smp.h_d, smp.dh_d_dt,
+                smp.ddq):
         arr[:] = np.nan
     assert np.array_equal(ctrl.field(0.0, z), want)
     assert np.array_equal(ctrl.sample(z).u, SsController(gait, params).sample(z).u)
+
+
+def test_field_integrates_the_sampled_accelerations(gait, params, monkeypatch):
+    x = on_manifold_state(gait, 0.4, -0.9)
+    z = np.concatenate([x, x[4:6]])
+    want = SsController(gait, params).field(0.0, z)
+
+    ctrl = SsController(gait, params)
+    smp = ctrl.sample(z)
+    assert np.array_equal(smp.ddq, pinned_vector_field(x, smp.u, params)[3:])
+
+    def no_solve(*args):
+        raise AssertionError("field solved for ddq again")
+
+    monkeypatch.setattr(erg, "solve_ddq", no_solve)
+    got = ctrl.field(0.0, z)
+    assert np.array_equal(got[:3], z[3:6])
+    assert np.array_equal(got[3:6], smp.ddq)
+    assert np.array_equal(got, want)
 
 
 def test_closed_loop_respects_boxes_and_margin(one_step_log, gait):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from test_gait import on_manifold_state
-from thrusterbiped import erg, integrate
+from thrusterbiped import dynamics, erg, integrate
 from thrusterbiped.config import load_config, save_config
 from thrusterbiped.erg import SsController, SsSample
 from thrusterbiped.harness import (
@@ -171,6 +171,17 @@ def test_write_logs_cleans_up_after_failure(tmp_path, one_step_log, default_cfg,
     assert os.listdir(out) == []
 
 
+def test_write_logs_leaves_no_partial_config(tmp_path, one_step_log, default_cfg,
+                                             monkeypatch):
+    # the encoder writes the start of the file, then fails on the object
+    out = tmp_path / "broken"
+    monkeypatch.setattr("thrusterbiped.config.config_to_dict",
+                        lambda cfg: {"gait": object()})
+    with pytest.raises(TypeError):
+        write_logs(one_step_log, str(out), default_cfg)
+    assert os.listdir(out) == []
+
+
 def test_round_trip_of_written_trace_matches_memory(tmp_path, one_step_log,
                                                     default_cfg):
     paths = write_logs(one_step_log, str(tmp_path / "rt"), default_cfg)
@@ -207,8 +218,9 @@ def test_identical_configs_reproduce_the_trace(default_cfg, one_step_log):
 def test_each_node_runs_the_control_pipeline_once(default_cfg, gait, params,
                                                    monkeypatch):
     # every pipeline run evaluates the outputs once, so counting output_data
-    # in erg counts pipeline runs
-    calls = {"output_data": 0, "rk4_step": 0}
+    # in erg counts pipeline runs; the stance force reuses the pipeline's
+    # accelerations, so nothing in dynamics evaluates the SS model again
+    calls = {"output_data": 0, "rk4_step": 0, "ss_dynamics": 0, "solve_ddq": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -218,8 +230,11 @@ def test_each_node_runs_the_control_pipeline_once(default_cfg, gait, params,
 
     monkeypatch.setattr(erg, "output_data", counted("output_data", erg.output_data))
     monkeypatch.setattr(integrate, "rk4_step", counted("rk4_step", integrate.rk4_step))
+    for name in ("ss_dynamics", "solve_ddq"):
+        monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
     log = run_walk(one_step_cfg(default_cfg))
     assert log.completed_steps == 1, log.aborted
+    assert calls["ss_dynamics"] == calls["solve_ddq"] == 0
     # a logged node is sampled just before the next RK4 step's first stage
     # asks for the field there; only the event node of the one SS phase,
     # which no stage evaluates, adds a run
