@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from math import isnan
 
 import numpy as np
 
@@ -160,14 +161,17 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 def _has_json_type(value, type_name: str) -> bool:
     """Whether a JSON value fits a field declared as ``type_name``.
 
-    An int fits a float; a bool is never a number; a list holds numbers or
-    lists of them.
+    An int fits a float; a bool is never a number; NaN is no number either
+    (every range check compares false on it), while an infinite limit is
+    allowed and reads as non-binding; a list holds numbers or lists of them.
     """
     if type_name == "list":
         return isinstance(value, list) and all(
             _has_json_type(v, "float") or _has_json_type(v, "list") for v in value)
     if isinstance(value, bool):
         return type_name == "bool"
+    if isinstance(value, float) and isnan(value):
+        return False
     return isinstance(value, {"float": (int, float), "int": int, "str": str,
                               "bool": bool}[type_name])
 

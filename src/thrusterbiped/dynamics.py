@@ -16,7 +16,13 @@ position; used around impact and in double support.
 All terms below are hand-derived from the point-mass Jacobians
 (``D = sum m J^T J``, ``H = sum m J^T (Jdot qdot) + grad V``) and hard-coded;
 the finite-difference oracles in the test suite gate them.  They are
-evaluated on Python floats, with no LAPACK call.
+evaluated on Python floats, with no LAPACK call.  The unpinned model has a
+float core: `_ext_terms` (D, H and the thrust direction), `_contact_terms`
+(foot positions, J's leg entries and J's velocity-product term) and
+`_contact_core` (the contact solve) take and return Python floats, so the
+double-support right-hand side in `nmpc` runs from state to forces without
+building an array.  `ext_dynamics`, `ds_dynamics`, `contact_kinematics` and
+`contact_solve` are array wrappers around those cores.
 
 The two-foot contact solve (`contact_solve`, behind double support and the
 impact map) relies on the structure of the contact Jacobian: no foot moves
@@ -69,12 +75,16 @@ _B_EXT = np.array(
 _J_TORSO_HIP = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
-def _finite_floats(name: str, value: np.ndarray) -> list[float]:
-    """The entries of ``value`` as Python floats, all of them finite."""
-    vals = np.asarray(value, dtype=float).tolist()
+def _finite(name: str, vals: list[float]) -> list[float]:
+    """``vals`` unchanged if all of them are finite."""
     if not all(map(isfinite, vals)):
         raise ValueError(f"{name} contains non-finite entries")
     return vals
+
+
+def _finite_floats(name: str, value: np.ndarray) -> list[float]:
+    """The entries of ``value`` as Python floats, all of them finite."""
+    return _finite(name, np.asarray(value, dtype=float).tolist())
 
 
 def _com_moments(params: ModelParams) -> tuple[float, float, float]:
@@ -136,10 +146,15 @@ def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
     return DynTerms(D, H, _B_SS)
 
 
-def _ext_terms(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams):
-    """Shared assembly for the unpinned 5-DOF model, on Python floats."""
-    q1, q2, q3, _, _ = _finite_floats("q_e", q_e)
-    dq1, dq2, dq3, _, _ = _finite_floats("dq_e", dq_e)
+def _ext_terms(q_e: list[float], dq_e: list[float], params: ModelParams):
+    """D (rows), H and the thrust direction of the unpinned 5-DOF model.
+
+    Takes and returns Python floats; the caller has checked the state finite.
+    The thrust direction (sin, -cos of the absolute torso angle) is the
+    hip-translation part of the thrust column of B.
+    """
+    q1, q2, q3, _, _ = q_e
+    dq1, dq2, dq3, _, _ = dq_e
     mh, mT, mk = params.m_h, params.m_T, params.m_k
     l, lT = params.l, params.l_T
     lh = 0.5 * l
@@ -161,18 +176,18 @@ def _ext_terms(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams):
     d14 = -mT * lT * s123 + mk * lh * s12
     d23 = -mT * lT * c123
     d24 = -mT * lT * s123
-    D = np.array([
-        [d00, d01, d02, d03, d04],
-        [d01, d11, d12, d13, d14],
-        [d02, d12, d22, d23, d24],
-        [d03, d13, d23, Mtot, 0.0],
-        [d04, d14, d24, 0.0, Mtot],
-    ])
+    D = (
+        (d00, d01, d02, d03, d04),
+        (d01, d11, d12, d13, d14),
+        (d02, d12, d22, d23, d24),
+        (d03, d13, d23, Mtot, 0.0),
+        (d04, d14, d24, 0.0, Mtot),
+    )
 
     w12 = dq1 + dq2
     w123 = w12 + dq3
     g = params.g
-    H = np.array([
+    H = (
         g * (-mT * lT * s123 + mk * lh * (s1 + s12)),
         g * (-mT * lT * s123 + mk * lh * s12),
         -g * mT * lT * s123,
@@ -181,14 +196,18 @@ def _ext_terms(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams):
         -mT * lT * c123 * w123 * w123
         + mk * lh * (c1 * dq1 * dq1 + c12 * w12 * w12)
         + g * Mtot,
-    ])
-    return D, H, s123, c123
+    )
+    return D, H, (s123, -c123)
+
+
+def _ext_state(q_e: np.ndarray, dq_e: np.ndarray) -> tuple[list[float], list[float]]:
+    return _finite_floats("q_e", q_e), _finite_floats("dq_e", dq_e)
 
 
 def ext_dynamics(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> DynTerms:
     """Unpinned 5-DOF terms (hip position appended), joint torques only."""
-    D, H, _, _ = _ext_terms(q_e, dq_e, params)
-    return DynTerms(D, H, _B_EXT)
+    D, H, _ = _ext_terms(*_ext_state(q_e, dq_e), params)
+    return DynTerms(np.array(D), np.array(H), _B_EXT)
 
 
 def ds_dynamics(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> DynTerms:
@@ -198,45 +217,52 @@ def ds_dynamics(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> DynTe
     torso-link axis.  Applied at the torso mass point it exerts no moment on
     the joint coordinates and acts on the hip-translation rows only.
     """
-    D, H, s123, c123 = _ext_terms(q_e, dq_e, params)
+    D, H, (tx, ty) = _ext_terms(*_ext_state(q_e, dq_e), params)
     B = np.array([
         [0.0, 0.0, 0.0],
         [1.0, 0.0, 0.0],
         [0.0, 1.0, 0.0],
-        [0.0, 0.0, s123],
-        [0.0, 0.0, -c123],
+        [0.0, 0.0, tx],
+        [0.0, 0.0, ty],
     ])
-    return DynTerms(D, H, B)
+    return DynTerms(np.array(D), np.array(H), B)
+
+
+def _contact_terms(q_e: list[float], dq_e: list[float], params: ModelParams):
+    """Foot positions, J's leg entries and J's velocity-product term.
+
+    Python floats in and out.  The leg entries (l cos q1, l sin q1,
+    l cos(q1 + q2), l sin(q1 + q2)) fill J's first column; the second
+    column repeats the foot-2 ones.
+    """
+    q1, q2, _, xh, yh = q_e
+    dq1, dq2, _, _, _ = dq_e
+    l = params.l
+    s1, c1 = sin(q1), cos(q1)
+    s12, c12 = sin(q1 + q2), cos(q1 + q2)
+    w12 = dq1 + dq2
+    return (
+        (xh + l * s1, yh - l * c1),
+        (xh + l * s12, yh - l * c12),
+        (l * c1, l * s1, l * c12, l * s12),
+        (-l * s1 * dq1 * dq1, l * c1 * dq1 * dq1,
+         -l * s12 * w12 * w12, l * c12 * w12 * w12),
+    )
 
 
 def contact_kinematics(
     q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams
 ) -> ContactKinematics:
     """Both foot positions plus J and its velocity-product term."""
-    q1, q2, _, xh, yh = _finite_floats("q_e", q_e)
-    dq1, dq2, _, _, _ = _finite_floats("dq_e", dq_e)
-
-    l = params.l
-    s1, c1 = sin(q1), cos(q1)
-    s12, c12 = sin(q1 + q2), cos(q1 + q2)
-
-    p1 = np.array([xh + l * s1, yh - l * c1])
-    p2 = np.array([xh + l * s12, yh - l * c12])
+    p1, p2, (j0, j1, j2, j3), jdot_qdot = _contact_terms(
+        *_ext_state(q_e, dq_e), params)
     J = np.array([
-        [l * c1, 0.0, 0.0, 1.0, 0.0],
-        [l * s1, 0.0, 0.0, 0.0, 1.0],
-        [l * c12, l * c12, 0.0, 1.0, 0.0],
-        [l * s12, l * s12, 0.0, 0.0, 1.0],
+        [j0, 0.0, 0.0, 1.0, 0.0],
+        [j1, 0.0, 0.0, 0.0, 1.0],
+        [j2, j2, 0.0, 1.0, 0.0],
+        [j3, j3, 0.0, 0.0, 1.0],
     ])
-
-    w12 = dq1 + dq2
-    jdot_qdot = np.array([
-        -l * s1 * dq1 * dq1,
-        l * c1 * dq1 * dq1,
-        -l * s12 * w12 * w12,
-        l * c12 * w12 * w12,
-    ])
-    return ContactKinematics(p1, p2, J, jdot_qdot)
+    return ContactKinematics(np.array(p1), np.array(p2), J, np.array(jdot_qdot))
 
 
 def energies(
@@ -369,6 +395,55 @@ def extend_pinned_state(
     return q_e, dq_e
 
 
+def _contact_core(D, legs, cols) -> list[tuple[tuple, tuple]]:
+    """Null-space elimination of the contact system on Python floats.
+
+    ``D`` is the five rows of the mass matrix, ``legs`` J's leg block
+    (a00, a01, a10, a11, a20, a21, a30, a31) row by row, and ``cols`` the
+    right-hand-side columns as (rhs_dyn, rhs_con) pairs of 5 and 4 floats.
+    Returns one (x, lam) pair of tuples per column; see `contact_solve`.
+    """
+    a00, a01, a10, a11, a20, a21, a30, a31 = legs
+    L00, L01, L10, L11 = a20 - a00, a21 - a01, a30 - a10, a31 - a11
+    det = L00 * L11 - L01 * L10
+    big = max(1.0, abs(a00), abs(a01), abs(a10), abs(a11),
+              abs(a20), abs(a21), abs(a30), abs(a31))
+    if not abs(det) > 1e-12 * big * big:
+        raise SingularContactError("contact legs are (nearly) collinear")
+    D0, D1, D2, D3, D4 = D
+    D00, D01, D02, D03, D04 = D0
+    D10, D11, D12, D13, D14 = D1
+    D20, D21, D22, D23, D24 = D2
+    D30, D31, D32, D33, D34 = D3
+    D40, D41, D42, D43, D44 = D4
+    if not D22 > 0.0:
+        raise SingularContactError("torso inertia is not positive")
+
+    out = []
+    for (f0, f1, f2, f3, f4), (r0, r1, r2, r3) in cols:
+        e0, e1 = r2 - r0, r3 - r1
+        x0 = (L11 * e0 - L01 * e1) / det
+        x1 = (L00 * e1 - L10 * e0) / det
+        x3 = r0 - a00 * x0 - a01 * x1
+        x4 = r1 - a10 * x0 - a11 * x1
+        x2 = (f2 - D20 * x0 - D21 * x1 - D23 * x3 - D24 * x4) / D22
+        # J^T lam = w = D x - rhs_dyn; the hip columns give lam_p1 + lam_p2
+        w0 = D00 * x0 + D01 * x1 + D02 * x2 + D03 * x3 + D04 * x4 - f0
+        w1 = D10 * x0 + D11 * x1 + D12 * x2 + D13 * x3 + D14 * x4 - f1
+        w3 = D30 * x0 + D31 * x1 + D32 * x2 + D33 * x3 + D34 * x4 - f3
+        w4 = D40 * x0 + D41 * x1 + D42 * x2 + D43 * x3 + D44 * x4 - f4
+        b0 = w0 - a00 * w3 - a10 * w4
+        b1 = w1 - a01 * w3 - a11 * w4
+        lam2 = (L11 * b0 - L10 * b1) / det
+        lam3 = (L00 * b1 - L01 * b0) / det
+        x = (x0, x1, x2, x3, x4)
+        lam = (w3 - lam2, w4 - lam3, lam2, lam3)
+        if not (all(map(isfinite, x)) and all(map(isfinite, lam))):
+            raise SingularContactError("non-finite contact solution")
+        out.append((x, lam))
+    return out
+
+
 def contact_solve(
     D: np.ndarray, J: np.ndarray, rhs_dyn: np.ndarray, rhs_con: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -393,22 +468,7 @@ def contact_solve(
     J_rows = np.asarray(J, dtype=float).tolist()
     if [row[2:] for row in J_rows] != _J_TORSO_HIP:
         raise ValueError("J must have a zero torso column and unit hip columns")
-    (a00, a01), (a10, a11), (a20, a21), (a30, a31) = [row[:2] for row in J_rows]
-    L00, L01, L10, L11 = a20 - a00, a21 - a01, a30 - a10, a31 - a11
-    det = L00 * L11 - L01 * L10
-    big = max(1.0, abs(a00), abs(a01), abs(a10), abs(a11),
-              abs(a20), abs(a21), abs(a30), abs(a31))
-    if not abs(det) > 1e-12 * big * big:
-        raise SingularContactError("contact legs are (nearly) collinear")
-    D0, D1, D2, D3, D4 = np.asarray(D, dtype=float).tolist()
-    D00, D01, D02, D03, D04 = D0
-    D10, D11, D12, D13, D14 = D1
-    D20, D21, D22, D23, D24 = D2
-    D30, D31, D32, D33, D34 = D3
-    D40, D41, D42, D43, D44 = D4
-    if not D22 > 0.0:
-        raise SingularContactError("torso inertia is not positive")
-
+    legs = [a for row in J_rows for a in row[:2]]
     dyn = np.asarray(rhs_dyn, dtype=float)
     con = np.asarray(rhs_con, dtype=float)
     if dyn.shape[1:] != con.shape[1:]:
@@ -417,32 +477,11 @@ def contact_solve(
         cols = [(dyn.tolist(), con.tolist())]
     else:
         cols = zip(dyn.T.tolist(), con.T.tolist())
-    xs, lams = [], []
-    for (f0, f1, f2, f3, f4), (r0, r1, r2, r3) in cols:
-        e0, e1 = r2 - r0, r3 - r1
-        x0 = (L11 * e0 - L01 * e1) / det
-        x1 = (L00 * e1 - L10 * e0) / det
-        x3 = r0 - a00 * x0 - a01 * x1
-        x4 = r1 - a10 * x0 - a11 * x1
-        x2 = (f2 - D20 * x0 - D21 * x1 - D23 * x3 - D24 * x4) / D22
-        # J^T lam = w = D x - rhs_dyn; the hip columns give lam_p1 + lam_p2
-        w0 = D00 * x0 + D01 * x1 + D02 * x2 + D03 * x3 + D04 * x4 - f0
-        w1 = D10 * x0 + D11 * x1 + D12 * x2 + D13 * x3 + D14 * x4 - f1
-        w3 = D30 * x0 + D31 * x1 + D32 * x2 + D33 * x3 + D34 * x4 - f3
-        w4 = D40 * x0 + D41 * x1 + D42 * x2 + D43 * x3 + D44 * x4 - f4
-        b0 = w0 - a00 * w3 - a10 * w4
-        b1 = w1 - a01 * w3 - a11 * w4
-        lam2 = (L11 * b0 - L10 * b1) / det
-        lam3 = (L00 * b1 - L01 * b0) / det
-        x = (x0, x1, x2, x3, x4)
-        lam = (w3 - lam2, w4 - lam3, lam2, lam3)
-        if not (all(map(isfinite, x)) and all(map(isfinite, lam))):
-            raise SingularContactError("non-finite contact solution")
-        xs.append(x)
-        lams.append(lam)
+    out = _contact_core(np.asarray(D, dtype=float).tolist(), legs, cols)
     if dyn.ndim == 1:
-        return np.array(xs[0]), np.array(lams[0])
-    return np.array(xs).T, np.array(lams).T
+        x, lam = out[0]
+        return np.array(x), np.array(lam)
+    return np.array([x for x, _ in out]).T, np.array([lam for _, lam in out]).T
 
 
 def ss_contact_force(

@@ -11,7 +11,16 @@ Each sample linearizes once and solves one dense QP.  The thrust/torque
 columns are exact through one multi-RHS contact solve; one central-difference
 sweep over the state then gives both the dynamics model and the affine
 contact-force model, since every perturbed contact solve returns the
-accelerations and the forces together.
+accelerations and the forces together.  `ds_rhs` and `ds_affine_maps` run on
+Python floats from the state to the forces: they call the float cores of
+`dynamics` directly and build numpy arrays only for their results.
+
+The condensing uses the horizon's structure: A and B are fixed, so every
+input block of the prediction matrix S[k] is a power A^i B.  The K products
+A^i B are built once and S is gathered from them; the tracking cost is one
+batched contraction over the stacked S, the input-increment cost is written
+in its block-tridiagonal closed form, and the constraint rows are assembled
+as whole blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import contact_kinematics, contact_solve, ds_dynamics
+from .dynamics import _contact_core, _contact_terms, _ext_terms, _finite
 from .params import ModelParams
 from .qp import INFEASIBLE, OPTIMAL, QpSolution, solve_qp
 
@@ -34,20 +43,43 @@ class DsForces(NamedTuple):
     lam: np.ndarray      # (4,) [lamT1, lamN1, lamT2, lamN2]
 
 
+def _ds_system(x_d: np.ndarray, params: ModelParams):
+    """The contact system at x_d, on Python floats.
+
+    Returns D's rows, J's leg entries, H, the thrust direction and the
+    contact right-hand side -Jdot qdot - d J qdot, whose damping at rate
+    `params.d` keeps long integrations on the contact manifold.
+    """
+    vals = np.asarray(x_d, dtype=float).tolist()
+    q = _finite("q_e", vals[:5])
+    dq = _finite("dq_e", vals[5:])
+    D, H, thrust = _ext_terms(q, dq, params)
+    _, _, (j0, j1, j2, j3), jdq = _contact_terms(q, dq, params)
+    v1, v2, _, v4, v5 = dq
+    d = params.d
+    # J dq with each row's terms t0..t4 grouped as numpy's float64
+    # matrix-vector product groups them, ((t0 + t2) + (t1 + t3)) + t4, so the
+    # result equals the array expression -jdot_qdot - d * (J @ dq)
+    con = (
+        -jdq[0] - d * (j0 * v1 + v4),
+        -jdq[1] - d * (j1 * v1 + v5),
+        -jdq[2] - d * (j2 * v1 + (j2 * v2 + v4)),
+        -jdq[3] - d * (j3 * v1 + j3 * v2 + v5),
+    )
+    legs = (j0, 0.0, j1, 0.0, j2, j2, j3, j3)
+    return D, legs, H, thrust, con
+
+
 def ds_rhs(x_d: np.ndarray, eta: np.ndarray, params: ModelParams) -> DsForces:
     """Accelerations and contact forces with both feet pinned.
 
-    KKT system of the constrained dynamics; the velocity-level constraint
-    drift is damped at rate `params.d` so long integrations stay on the
-    contact manifold.
+    One contact solve (see `_ds_system`) with the right-hand side B eta - H.
     """
-    x_d = np.asarray(x_d, dtype=float)
-    q, dq = x_d[:5], x_d[5:]
-    terms = ds_dynamics(q, dq, params)
-    ck = contact_kinematics(q, dq, params)
-    ddq, lam = contact_solve(terms.D, ck.J, terms.B @ eta - terms.H,
-                             -ck.jdot_qdot - params.d * (ck.J @ dq))
-    return DsForces(ddq, lam)
+    D, legs, (h0, h1, h2, h3, h4), (tx, ty), con = _ds_system(x_d, params)
+    u2, u3, f = np.asarray(eta, dtype=float).tolist()
+    dyn = (-h0, u2 - h1, u3 - h2, tx * f - h3, ty * f - h4)
+    ((ddq, lam),) = _contact_core(D, legs, [(dyn, con)])
+    return DsForces(np.array(ddq), np.array(lam))
 
 
 def ds_field(x_d: np.ndarray, eta: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -64,16 +96,19 @@ def ds_affine_maps(
     """Exact input maps at fixed state: ddq and lam are affine in eta.
 
     Returns (ddq0, G_ddq, lam0, G_lam) with ddq = ddq0 + G_ddq @ eta and
-    lam = lam0 + G_lam @ eta, obtained from one multi-RHS KKT solve.
+    lam = lam0 + G_lam @ eta, from one contact solve with four right-hand
+    sides: the free column and the three input columns of B.
     """
-    x_d = np.asarray(x_d, dtype=float)
-    q, dq = x_d[:5], x_d[5:]
-    terms = ds_dynamics(q, dq, params)
-    ck = contact_kinematics(q, dq, params)
-    rhs_con = np.zeros((4, 1 + N_ETA))
-    rhs_con[:, 0] = -ck.jdot_qdot - params.d * (ck.J @ dq)
-    ddq, lam = contact_solve(terms.D, ck.J, np.column_stack([-terms.H, terms.B]),
-                             rhs_con)
+    D, legs, H, (tx, ty), con = _ds_system(x_d, params)
+    zero = (0.0, 0.0, 0.0, 0.0)
+    out = _contact_core(D, legs, [
+        (tuple(-h for h in H), con),
+        ((0.0, 1.0, 0.0, 0.0, 0.0), zero),
+        ((0.0, 0.0, 1.0, 0.0, 0.0), zero),
+        ((0.0, 0.0, 0.0, tx, ty), zero),
+    ])
+    ddq = np.array([x for x, _ in out]).T
+    lam = np.array([lam for _, lam in out]).T
     return ddq[:, 0], ddq[:, 1:], lam[:, 0], lam[:, 1:]
 
 
@@ -178,8 +213,10 @@ def solve_nmpc(
 ) -> NmpcSolution:
     """Condense the linearized horizon into one dense QP and solve it.
 
-    Friction-cone and minimum-normal-force rows use the affine force model at
-    nodes 0..n_int-1; state boxes apply at nodes 1..n_int.  An infeasible or
+    The prediction is x[k] = x_free[k] + S[k] z, and block j < k of S[k] is
+    A^(k-1-j) B (see the module docstring).  Friction-cone and
+    minimum-normal-force rows use the affine force model at nodes
+    0..n_int-1; state boxes apply at nodes 1..n_int.  An infeasible or
     stalled QP returns zero input with the corresponding status; so does a
     violated row that no input can reach (status infeasible, 0 iterations).
     """
@@ -193,44 +230,44 @@ def solve_nmpc(
     nz = N_ETA * K
     x_free = np.empty((K + 1, N_X))
     x_free[0] = x1
-    S = np.zeros((K + 1, N_X, nz))
+    # Phi[i] = A^i B, and a zero block at index K for the blocks j >= k
+    Phi = np.zeros((K + 1, N_X, N_ETA))
+    Phi[0] = B
     for k in range(K):
         x_free[k + 1] = A @ x_free[k] + c
-        S[k + 1] = A @ S[k]
-        S[k + 1][:, N_ETA * k:N_ETA * (k + 1)] += B
+        if k + 1 < K:
+            Phi[k + 1] = A @ Phi[k]
+    ks = np.arange(K + 1)[:, None]
+    js = np.arange(K)[None, :]
+    S = Phi[np.where(js < ks, ks - 1 - js, K)]
+    S = S.transpose(0, 2, 1, 3).reshape(K + 1, N_X, nz)
 
-    # quadratic cost in z
-    P = np.zeros((nz, nz))
-    qv = np.zeros(nz)
-    Wx = prob.w_x
-    for k in range(1, K + 1):
-        Sw = S[k] * Wx[:, None]
-        P += S[k].T @ Sw
-        qv += Sw.T @ (x_free[k] - prob.r_d[k])
-    Dfull = np.eye(nz)
-    for k in range(1, K):
-        Dfull[N_ETA * k:N_ETA * (k + 1), N_ETA * (k - 1):N_ETA * k] = -np.eye(N_ETA)
-    Weta = np.tile(prob.w_eta, K)
-    P += Dfull.T @ (Dfull * Weta[:, None])
+    # quadratic cost in z: state tracking over nodes 1..K, one batched
+    # contraction summed node by node.  One GEMM over the stacked S would
+    # round P differently, and where rows tie exactly (the thrust cap at two
+    # nodes) the dual active set's path depends on those last bits.
+    Sw = S[1:] * prob.w_x[:, None]
+    P = np.matmul(S[1:].transpose(0, 2, 1), Sw).sum(axis=0)
+    err = (x_free[1:] - prob.r_d[1:])[:, :, None]
+    qv = np.matmul(Sw.transpose(0, 2, 1), err)[:, :, 0].sum(axis=0)
+    # input increments eta[k] - eta[k-1] (eta[-1] = 0): block tridiagonal,
+    # 2 W on the diagonal (W on the last block) and -W beside it
+    w = np.tile(prob.w_eta, K)
+    diag = np.arange(nz)
+    P[diag, diag] += w + np.concatenate([w[N_ETA:], np.zeros(N_ETA)])
+    off = diag[:-N_ETA]
+    P[off, off + N_ETA] -= w[N_ETA:]
+    P[off + N_ETA, off] -= w[N_ETA:]
     P *= 2.0
     qv *= 2.0
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    eye_z = np.eye(nz)
-    for k in range(K):
-        blk = eye_z[N_ETA * k:N_ETA * (k + 1)]
-        rows.append(blk)
-        rhs.extend(prob.eta_hi)
-        rows.append(-blk)
-        rhs.extend(-prob.eta_lo)
-
-    for k in range(1, K + 1):
-        rows.append(S[k])
-        rhs.extend(prob.x_hi - x_free[k])
-        rows.append(-S[k])
-        rhs.extend(x_free[k] - prob.x_lo)
+    # input boxes, state boxes at nodes 1..K, then the cone rows at 0..K-1
+    eye = np.eye(nz).reshape(K, 1, N_ETA, nz)
+    box = np.concatenate([eye, -eye], axis=1).reshape(2 * nz, nz)
+    box_rhs = np.tile(np.concatenate([prob.eta_hi, -prob.eta_lo]), K)
+    xf = x_free[1:]
+    state = np.stack([S[1:], -S[1:]], axis=1).reshape(2 * K * N_X, nz)
+    state_rhs = np.stack([prob.x_hi - xf, xf - prob.x_lo], axis=1).ravel()
 
     mu = prob.mu_s
     cone = np.array([
@@ -242,15 +279,14 @@ def solve_nmpc(
         [0.0, 0.0, 0.0, -1.0],
     ])
     cone_rhs = np.array([0.0, 0.0, 0.0, 0.0, -prob.eps_normal, -prob.eps_normal])
-    for k in range(K):
-        Mlam = Lx @ S[k]
-        Mlam[:, N_ETA * k:N_ETA * (k + 1)] += Le
-        lam_const = lam0 + Lx @ (x_free[k] - x1) - Le @ eta0
-        rows.append(cone @ Mlam)
-        rhs.extend(cone_rhs - cone @ lam_const)
-
-    G = np.vstack(rows)
-    h = np.array(rhs)
+    # force sensitivities Lx S[k], plus Le on each node's own input block
+    Mlam = (Lx @ S[:K]).reshape(K, 4, K, N_ETA)
+    node = np.arange(K)
+    Mlam[node, :, node, :] += Le
+    Mlam = Mlam.reshape(K, 4, nz)
+    lam_const = lam0 + _times(Lx, x_free[:K] - x1) - Le @ eta0
+    G = np.concatenate([box, state, (cone @ Mlam).reshape(6 * K, nz)])
+    h = np.concatenate([box_rhs, state_rhs, (cone_rhs - _times(cone, lam_const)).ravel()])
 
     # early-horizon position boxes have zero sensitivity to the inputs; drop
     # trivially satisfied rows, and fail fast on unsatisfiable ones
@@ -271,24 +307,21 @@ def solve_nmpc(
     x_pred = x_free + np.einsum("kij,j->ki", S, z)
     lam_pred = _predict_forces(eta_seq, x_pred, x1, eta0, lam0, Lx, Le)
 
-    obj = 0.0
-    for k in range(1, K + 1):
-        e = x_pred[k] - prob.r_d[k]
-        obj += float(e @ (Wx * e))
-    prev = np.zeros(N_ETA)
-    for k in range(K):
-        de = eta_seq[k] - prev
-        obj += float(de @ (prob.w_eta * de))
-        prev = eta_seq[k]
+    e = x_pred[1:] - prob.r_d[1:]
+    de = np.diff(eta_seq, axis=0, prepend=np.zeros((1, N_ETA)))
+    obj = float(np.sum(e * e * prob.w_x) + np.sum(de * de * prob.w_eta))
     return NmpcSolution(eta_seq, x_pred, lam_pred, obj, OPTIMAL, sol.iterations)
 
 
+def _times(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M @ v for every row v of V, each rounded as a single matvec."""
+    return np.matmul(M, V[:, :, None])[:, :, 0]
+
+
 def _predict_forces(eta_seq, x_pred, x1, eta0, lam0, Lx, Le):
+    """Affine force model at nodes 0..K-1 of a predicted trajectory."""
     K = eta_seq.shape[0]
-    lam = np.empty((K, 4))
-    for k in range(K):
-        lam[k] = lam0 + Lx @ (x_pred[k] - x1) + Le @ (eta_seq[k] - eta0)
-    return lam
+    return lam0 + _times(Lx, x_pred[:K] - x1) + _times(Le, eta_seq - eta0)
 
 
 @dataclass

@@ -630,3 +630,132 @@ def torque_thrust_grid_best(x1, r_d, w_x, w_u3, w_f, u3_grid, f_grid, T_s,
     i2, i1 = np.unravel_index(int(np.argmin(obj)), obj.shape)
     pick = lambda i: (float(u3[i]), float(f[i]))
     return best, (pick(i1), pick(i2)), spread
+
+
+# ---------------------------------------------------------------------------
+# condensed predictive program, one dense S[k] product per horizon node
+
+def solve_nmpc_dense(
+    prob: NmpcProblem,
+    x_d1: np.ndarray,
+    params: ModelParams,
+    eta_base: np.ndarray | None = None,
+) -> NmpcSolution:
+    """The package's former `solve_nmpc`: condensing that rebuilds every S[k].
+
+    Kept as the reference for the structured condensing through A^i B.
+
+    Friction-cone and minimum-normal-force rows use the affine force model at
+    nodes 0..n_int-1; state boxes apply at nodes 1..n_int.  An infeasible or
+    stalled QP returns zero input with the corresponding status; so does a
+    violated row that no input can reach (status infeasible, 0 iterations).
+    """
+    from thrusterbiped.nmpc import N_ETA, N_X, NmpcSolution, linearize_ds
+    from thrusterbiped.qp import INFEASIBLE, OPTIMAL, QpSolution, solve_qp
+
+    x1 = np.asarray(x_d1, dtype=float)
+    K = prob.n_int
+    eta0 = np.zeros(N_ETA) if eta_base is None else np.asarray(eta_base, dtype=float)
+
+    A, B, c, lam0, Lx, Le = linearize_ds(x1, eta0, prob.T_s, params)
+
+    # prediction: x[k] = x_free[k] + S[k] @ z, z = stacked inputs
+    nz = N_ETA * K
+    x_free = np.empty((K + 1, N_X))
+    x_free[0] = x1
+    S = np.zeros((K + 1, N_X, nz))
+    for k in range(K):
+        x_free[k + 1] = A @ x_free[k] + c
+        S[k + 1] = A @ S[k]
+        S[k + 1][:, N_ETA * k:N_ETA * (k + 1)] += B
+
+    # quadratic cost in z
+    P = np.zeros((nz, nz))
+    qv = np.zeros(nz)
+    Wx = prob.w_x
+    for k in range(1, K + 1):
+        Sw = S[k] * Wx[:, None]
+        P += S[k].T @ Sw
+        qv += Sw.T @ (x_free[k] - prob.r_d[k])
+    Dfull = np.eye(nz)
+    for k in range(1, K):
+        Dfull[N_ETA * k:N_ETA * (k + 1), N_ETA * (k - 1):N_ETA * k] = -np.eye(N_ETA)
+    Weta = np.tile(prob.w_eta, K)
+    P += Dfull.T @ (Dfull * Weta[:, None])
+    P *= 2.0
+    qv *= 2.0
+
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+
+    eye_z = np.eye(nz)
+    for k in range(K):
+        blk = eye_z[N_ETA * k:N_ETA * (k + 1)]
+        rows.append(blk)
+        rhs.extend(prob.eta_hi)
+        rows.append(-blk)
+        rhs.extend(-prob.eta_lo)
+
+    for k in range(1, K + 1):
+        rows.append(S[k])
+        rhs.extend(prob.x_hi - x_free[k])
+        rows.append(-S[k])
+        rhs.extend(x_free[k] - prob.x_lo)
+
+    mu = prob.mu_s
+    cone = np.array([
+        [1.0, -mu, 0.0, 0.0],
+        [-1.0, -mu, 0.0, 0.0],
+        [0.0, 0.0, 1.0, -mu],
+        [0.0, 0.0, -1.0, -mu],
+        [0.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -1.0],
+    ])
+    cone_rhs = np.array([0.0, 0.0, 0.0, 0.0, -prob.eps_normal, -prob.eps_normal])
+    for k in range(K):
+        Mlam = Lx @ S[k]
+        Mlam[:, N_ETA * k:N_ETA * (k + 1)] += Le
+        lam_const = lam0 + Lx @ (x_free[k] - x1) - Le @ eta0
+        rows.append(cone @ Mlam)
+        rhs.extend(cone_rhs - cone @ lam_const)
+
+    G = np.vstack(rows)
+    h = np.array(rhs)
+
+    # early-horizon position boxes have zero sensitivity to the inputs; drop
+    # trivially satisfied rows, and fail fast on unsatisfiable ones
+    live = np.linalg.norm(G, axis=1) > 1e-9
+    if np.any(~live & (h < -1e-9)):
+        sol = QpSolution(np.zeros(nz), INFEASIBLE, 0)
+    else:
+        keep = live & np.isfinite(h)
+        sol = solve_qp(P, qv, G[keep], h[keep])
+    if sol.status != OPTIMAL:
+        zero = np.zeros((K, N_ETA))
+        return NmpcSolution(zero, x_free.copy(), _predict_forces_loop(
+            zero, x_free, x1, eta0, lam0, Lx, Le), float("nan"), sol.status,
+            sol.iterations)
+
+    z = sol.z
+    eta_seq = z.reshape(K, N_ETA)
+    x_pred = x_free + np.einsum("kij,j->ki", S, z)
+    lam_pred = _predict_forces_loop(eta_seq, x_pred, x1, eta0, lam0, Lx, Le)
+
+    obj = 0.0
+    for k in range(1, K + 1):
+        e = x_pred[k] - prob.r_d[k]
+        obj += float(e @ (Wx * e))
+    prev = np.zeros(N_ETA)
+    for k in range(K):
+        de = eta_seq[k] - prev
+        obj += float(de @ (prob.w_eta * de))
+        prev = eta_seq[k]
+    return NmpcSolution(eta_seq, x_pred, lam_pred, obj, OPTIMAL, sol.iterations)
+
+
+def _predict_forces_loop(eta_seq, x_pred, x1, eta0, lam0, Lx, Le):
+    K = eta_seq.shape[0]
+    lam = np.empty((K, 4))
+    for k in range(K):
+        lam[k] = lam0 + Lx @ (x_pred[k] - x1) + Le @ (eta_seq[k] - eta0)
+    return lam

@@ -48,11 +48,28 @@ def test_validate_accepts_the_default_scenario(scenario, capsys):
     ("sim", "mu_s", -0.3),
     ("erg", "kappa", True),
     ("gait", "bezier", [[0.0] * 6, [0.0] * 5]),
+    ("sim", "dt_ss", float("nan")),
+    ("nmpc", "w_x", [float("nan")] + [1.0] * 9),
 ])
 def test_validate_rejects_bad_configs(scenario, capsys, section, key, value):
     path = edited(scenario, section, key, value)
     assert main(["validate", path, "--no-env"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_validate_accepts_an_infinite_limit(scenario, capsys):
+    # an infinite state bound is a non-binding row, unlike NaN
+    path = edited(scenario, "nmpc", "rate_max", float("inf"))
+    assert main(["validate", path, "--no-env"]) == EXIT_OK
+    assert capsys.readouterr().out == "config ok\n"
+
+
+def test_run_rejects_a_nan_value_before_simulating(scenario, tmp_path, capsys):
+    path = edited(scenario, "sim", "dt_ss", float("nan"))
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out), "--no-env"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_validate_reports_a_missing_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from thrusterbiped import nmpc
-from thrusterbiped.dynamics import contact_kinematics, ds_dynamics
+from thrusterbiped.dynamics import contact_kinematics, contact_solve, ds_dynamics
 from thrusterbiped.errors import SingularContactError
 from thrusterbiped.gait import nominal_start_state
 from thrusterbiped.nmpc import (
@@ -64,6 +64,30 @@ def test_ds_rhs_matches_nullspace_oracle(rng, params):
         scale = 1.0 + np.max(np.abs(ddq_ref))
         assert np.max(np.abs(forces.ddq - ddq_ref)) < 1e-8 * scale
         assert np.max(np.abs(forces.lam - lam_ref)) < 1e-8 * (1 + np.max(np.abs(lam_ref)))
+
+
+def test_float_paths_match_the_array_wrappers(rng, params):
+    # every velocity nonzero, so each term of J dq and Jdot qdot counts
+    for _ in range(200):
+        x = np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-1.0, 1.0, 2),
+                            rng.uniform(-3.0, 3.0, 5)])
+        x[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
+        eta = rng.uniform(-5.0, 5.0, 3)
+        q, dq = x[:5], x[5:]
+        terms = ds_dynamics(q, dq, params)
+        ck = contact_kinematics(q, dq, params)
+        rhs_con = -ck.jdot_qdot - params.d * (ck.J @ dq)
+        ddq_ref, lam_ref = contact_solve(terms.D, ck.J, terms.B @ eta - terms.H, rhs_con)
+        forces = ds_rhs(x, eta, params)
+        assert np.allclose(forces.ddq, ddq_ref, rtol=1e-12, atol=1e-12)
+        assert np.allclose(forces.lam, lam_ref, rtol=1e-12, atol=1e-12)
+        ddq_cols, lam_cols = contact_solve(
+            terms.D, ck.J, np.column_stack([-terms.H, terms.B]),
+            np.column_stack([rhs_con, np.zeros((4, 3))]))
+        got = ds_affine_maps(x, params)
+        want = (ddq_cols[:, 0], ddq_cols[:, 1:], lam_cols[:, 0], lam_cols[:, 1:])
+        for a, b in zip(got, want):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("q2", [0.0, 1e-13])
@@ -226,20 +250,116 @@ def small_problem(x1, K, **edits):
     return NmpcProblem(**fields)
 
 
+def count_calls(monkeypatch, *names):
+    """Count calls of the named nmpc functions, made through the module."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _real=getattr(nmpc, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(nmpc, name, counting)
+    return counts
+
+
 def test_one_solve_makes_one_linearization(params, monkeypatch):
     # one multi-RHS input-map solve, one at the base point, and two per
-    # state perturbation
-    calls = []
-    real = nmpc.contact_solve
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(nmpc, "contact_solve", counting)
+    # state perturbation: 22 contact solves
+    counts = count_calls(monkeypatch, "ds_affine_maps", "ds_rhs")
     x1 = ds_state(params, 0.1, 0.1, -1.0)
     assert solve_nmpc(small_problem(x1, 5), x1, params).status == OPTIMAL
-    assert len(calls) == 22
+    assert counts == {"ds_affine_maps": 1, "ds_rhs": 21}
+
+
+def test_a_default_ds_phase_makes_a_fixed_number_of_contact_solves(
+        default_cfg, monkeypatch):
+    # per sample one linearization (1 input map + 21 ds_rhs), per RK4
+    # substep four stages (the first also gives the logged forces), and the
+    # final forces once
+    cfg = default_cfg
+    params = cfg.model.to_params()
+    gait = cfg.gait.to_gait()
+    ctrl = NmpcController(
+        params, T_s=cfg.nmpc.T_s, n_int=20, w_x=cfg.nmpc.w_x,
+        w_eta=cfg.nmpc.w_eta, u_max=gait.u_max, f_th_max=cfg.model.f_th_max,
+        mu_s=cfg.sim.mu_s, eps_normal=cfg.nmpc.eps_normal,
+        angle_max=cfg.nmpc.angle_max, rate_max=cfg.nmpc.rate_max,
+        hip_box=cfg.nmpc.hip_box, thrust_enabled=cfg.nmpc.thrust_enabled)
+    assert (cfg.sim.ds_envelope, cfg.nmpc.T_s, cfg.sim.dt_ds) == (0.02, 1e-3, 1e-4)
+    x0 = ds_state(params, 0.08, 0.08, -1.2)
+    target = x0.copy()
+    target[7] = -0.5
+    ctrl.reset(x0, target)
+    counts = count_calls(monkeypatch, "ds_affine_maps", "ds_rhs")
+    trace, _ = simulate_ds(x0, ctrl, cfg.sim.ds_envelope, cfg.sim.dt_ds, params,
+                           T_s=cfg.nmpc.T_s)
+    assert [entry[1] for entry in trace.statuses] == [OPTIMAL] * 20
+    assert counts == {"ds_affine_maps": 20, "ds_rhs": 20 * 21 + 200 * 4 + 1}
+
+
+@pytest.mark.parametrize("name, index", [("q_e", 3), ("dq_e", 8)])
+def test_float_paths_reject_non_finite_states(params, name, index):
+    for bad in (np.nan, np.inf):
+        x = ds_state(params, 0.1, 0.1, -1.0)
+        x[index] = bad
+        with pytest.raises(ValueError) as want:
+            ds_dynamics(x[:5], x[5:], params)
+        assert str(want.value) == f"{name} contains non-finite entries"
+        for call in (lambda: ds_rhs(x, np.zeros(3), params),
+                     lambda: ds_affine_maps(x, params)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+
+def assert_same_solution(got, ref):
+    """Equal status and QP iterations; arrays within 1e-9 relative."""
+    assert (got.status, got.qp_iterations) == (ref.status, ref.qp_iterations)
+    for name in ("eta_seq", "x_pred", "lambda_pred"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape, name
+        err = np.max(np.abs(a - b), initial=0.0)
+        assert err <= 1e-9 * np.max(np.abs(b), initial=0.0), name
+    if np.isnan(ref.objective):
+        assert np.isnan(got.objective)
+    else:
+        assert abs(got.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+
+
+@pytest.mark.parametrize("K", [1, 5, 20])
+@pytest.mark.parametrize("with_base", [False, True])
+def test_condensing_matches_the_dense_oracle(rng, params, K, with_base):
+    # the controller's weights and boxes, so rate and angle rows can bind
+    for _ in range(8):
+        x1 = ds_state(params, rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5),
+                      rng.uniform(-3.0, 3.0))
+        target = x1.copy()
+        target[7] = rng.uniform(-1.5, 0.5)
+        base = None
+        if with_base:
+            base = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3),
+                             rng.uniform(0, 40)])
+        hip = x1[3:5]
+        prob = small_problem(
+            x1, K, r_d=reference_trajectory(x1, target, K + 1),
+            w_x=np.array([0, 10, 10, 0, 0, 1, 1, 10, 1, 1], dtype=float),
+            x_lo=np.concatenate([np.full(3, -1.2), hip - 1.0, np.full(5, -10.0)]),
+            x_hi=np.concatenate([np.full(3, 1.2), hip + 1.0, np.full(5, 10.0)]))
+        got = solve_nmpc(prob, x1, params, eta_base=base)
+        assert got.status == OPTIMAL
+        assert_same_solution(got, oracles.solve_nmpc_dense(prob, x1, params, base))
+
+
+@pytest.mark.parametrize("K", [1, 5, 20])
+def test_condensing_falls_back_like_the_dense_oracle(params, K):
+    x1 = ds_state(params, 0.1, 0.1, -1.0)
+    x_lo = np.full(10, -50.0)
+    x_lo[3] = x1[3] + 0.5  # a dead row: node-1 positions ignore the inputs
+    for edits, ran_qp in (({"eps_normal": 1e4}, True), ({"x_lo": x_lo}, False)):
+        prob = small_problem(x1, K, **edits)
+        got = solve_nmpc(prob, x1, params)
+        assert got.status == INFEASIBLE
+        assert (got.qp_iterations > 0) == ran_qp
+        assert_same_solution(got, oracles.solve_nmpc_dense(prob, x1, params))
 
 
 def test_unreachable_normal_force_falls_back_to_zero_input(params):
