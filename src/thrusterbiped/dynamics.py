@@ -16,13 +16,18 @@ position; used around impact and in double support.
 All terms below are hand-derived from the point-mass Jacobians
 (``D = sum m J^T J``, ``H = sum m J^T (Jdot qdot) + grad V``) and hard-coded;
 the finite-difference oracles in the test suite gate them.  They are
-evaluated on Python floats, with no LAPACK call.  The unpinned model has a
-float core: `_ext_terms` (D, H and the thrust direction), `_contact_terms`
-(foot positions, J's leg entries and J's velocity-product term) and
-`_contact_core` (the contact solve) take and return Python floats, so the
-double-support right-hand side in `nmpc` runs from state to forces without
-building an array.  `ext_dynamics`, `ds_dynamics`, `contact_kinematics` and
-`contact_solve` are array wrappers around those cores.
+evaluated on Python floats, with no LAPACK call.
+
+In single support, `_solve_ddq` (the closed-form 3x3 solve behind
+`solve_ddq`), `_ss_contact_force` and the hip and swing-foot positions take
+and return Python floats, so the controller and the walk log use them
+without building arrays.  The unpinned model has a float core: `_ext_terms`
+(D, H and the thrust direction), `_contact_terms` (foot positions, J's leg
+entries and J's velocity-product term) and `_contact_core` (the contact
+solve) take and return Python floats, so the double-support right-hand side
+in `nmpc` runs from state to forces without building an array.
+`ext_dynamics`, `ds_dynamics`, `contact_kinematics` and `contact_solve` are
+array wrappers around those cores.
 
 The two-foot contact solve (`contact_solve`, behind double support and the
 impact map) relies on the structure of the contact Jacobian: no foot moves
@@ -309,6 +314,31 @@ def energies(
     return K, float(V)
 
 
+def _solve_ddq(D, cols) -> list[tuple[float, float, float]]:
+    """D x = f for each column f of ``cols``, D given as three rows of floats.
+
+    Closed form D^-1 = adj(D) / det(D); see `solve_ddq`.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = D
+    # adjugate = transposed cofactor matrix
+    A00, A01, A02 = e * i - f * h, c * h - b * i, b * f - c * e
+    A10, A11, A12 = f * g - d * i, a * i - c * g, c * d - a * f
+    A20, A21, A22 = d * h - e * g, b * g - a * h, a * e - b * d
+    det = a * A00 + b * A10 + c * A20
+    if not det > 0.0:
+        raise SingularDynamicsError("mass matrix determinant is not positive")
+
+    out = []
+    for f0, f1, f2 in cols:
+        x0 = (A00 * f0 + A01 * f1 + A02 * f2) / det
+        x1 = (A10 * f0 + A11 * f1 + A12 * f2) / det
+        x2 = (A20 * f0 + A21 * f1 + A22 * f2) / det
+        if not (isfinite(x0) and isfinite(x1) and isfinite(x2)):
+            raise SingularDynamicsError("non-finite joint accelerations")
+        out.append((x0, x1, x2))
+    return out
+
+
 def solve_ddq(terms: DynTerms, force: np.ndarray) -> np.ndarray:
     """Solve D ddq = force for the 3x3 single-support mass matrix.
 
@@ -318,25 +348,9 @@ def solve_ddq(terms: DynTerms, force: np.ndarray) -> np.ndarray:
     positive definite for valid parameters) or a non-finite result raises
     SingularDynamicsError.
     """
-    (a, b, c), (d, e, f), (g, h, i) = terms.D.tolist()
-    # adjugate = transposed cofactor matrix
-    A00, A01, A02 = e * i - f * h, c * h - b * i, b * f - c * e
-    A10, A11, A12 = f * g - d * i, a * i - c * g, c * d - a * f
-    A20, A21, A22 = d * h - e * g, b * g - a * h, a * e - b * d
-    det = a * A00 + b * A10 + c * A20
-    if not det > 0.0:
-        raise SingularDynamicsError("mass matrix determinant is not positive")
-
     rhs = np.asarray(force, dtype=float)
     cols = [rhs.tolist()] if rhs.ndim == 1 else rhs.T.tolist()
-    out = []
-    for f0, f1, f2 in cols:
-        x0 = (A00 * f0 + A01 * f1 + A02 * f2) / det
-        x1 = (A10 * f0 + A11 * f1 + A12 * f2) / det
-        x2 = (A20 * f0 + A21 * f1 + A22 * f2) / det
-        if not (isfinite(x0) and isfinite(x1) and isfinite(x2)):
-            raise SingularDynamicsError("non-finite joint accelerations")
-        out.append((x0, x1, x2))
+    out = _solve_ddq(terms.D.tolist(), cols)
     if rhs.ndim == 1:
         return np.array(out[0])
     return np.array(out).T
@@ -359,26 +373,31 @@ def pinned_vector_field(x_s: np.ndarray, u: np.ndarray, params: ModelParams) -> 
     return out
 
 
+def _hip_position(q1: float, l: float) -> tuple[float, float]:
+    return -l * sin(q1), l * cos(q1)
+
+
+def _hip_velocity(q1: float, dq1: float, l: float) -> tuple[float, float]:
+    return -l * cos(q1) * dq1, -l * sin(q1) * dq1
+
+
+def _swing_foot(q1: float, q2: float, l: float) -> tuple[float, float]:
+    return (-l * sin(q1) + l * sin(q1 + q2),
+            l * cos(q1) - l * cos(q1 + q2))
+
+
 def hip_position_pinned(q: np.ndarray, params: ModelParams) -> np.ndarray:
     """Hip position with the stance foot at the origin."""
-    l = params.l
-    return np.array([-l * sin(q[0]), l * cos(q[0])])
+    return np.array(_hip_position(q[0], params.l))
 
 
 def hip_velocity_pinned(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> np.ndarray:
-    l = params.l
-    return np.array([-l * cos(q[0]) * dq[0], -l * sin(q[0]) * dq[0]])
+    return np.array(_hip_velocity(q[0], dq[0], params.l))
 
 
 def swing_foot_pinned(q: np.ndarray, params: ModelParams) -> np.ndarray:
     """Swing foot position with the stance foot at the origin."""
-    l = params.l
-    return np.array(
-        [
-            -l * sin(q[0]) + l * sin(q[0] + q[1]),
-            l * cos(q[0]) - l * cos(q[0] + q[1]),
-        ]
-    )
+    return np.array(_swing_foot(q[0], q[1], params.l))
 
 
 def extend_pinned_state(
@@ -484,6 +503,25 @@ def contact_solve(
     return np.array([x for x, _ in out]).T, np.array([lam for _, lam in out]).T
 
 
+def _ss_contact_force(q, dq, ddq, params: ModelParams) -> tuple[float, float]:
+    """`ss_contact_force` on three triples of Python floats."""
+    q1, q2, q3 = q
+    dq1, dq2, dq3 = dq
+    a1, a2, a3 = ddq
+    lamT = 0.0
+    lamN = params.weight
+    for ck, phi, rate, acc in zip(
+        _com_moments(params),
+        (q1, q1 + q2, q1 + q2 + q3),
+        (dq1, dq1 + dq2, dq1 + dq2 + dq3),
+        (a1, a1 + a2, a1 + a2 + a3),
+    ):
+        s, c = sin(phi), cos(phi)
+        lamT += ck * (s * rate * rate - c * acc)
+        lamN -= ck * (s * acc + c * rate * rate)
+    return lamT, lamN
+
+
 def ss_contact_force(
     q: np.ndarray, dq: np.ndarray, ddq: np.ndarray, params: ModelParams
 ) -> np.ndarray:
@@ -498,18 +536,6 @@ def ss_contact_force(
     c_k (e'(phi_k) ddphi_k + e''(phi_k) dphi_k^2).  ddq is taken as given:
     the single-support controller passes the accelerations it integrates.
     """
-    q1, q2, q3 = np.asarray(q, dtype=float).tolist()
-    dq1, dq2, dq3 = np.asarray(dq, dtype=float).tolist()
-    a1, a2, a3 = np.asarray(ddq, dtype=float).tolist()
-    lamT = 0.0
-    lamN = params.weight
-    for ck, phi, rate, acc in zip(
-        _com_moments(params),
-        (q1, q1 + q2, q1 + q2 + q3),
-        (dq1, dq1 + dq2, dq1 + dq2 + dq3),
-        (a1, a1 + a2, a1 + a2 + a3),
-    ):
-        s, c = sin(phi), cos(phi)
-        lamT += ck * (s * rate * rate - c * acc)
-        lamN -= ck * (s * acc + c * rate * rate)
-    return np.array([lamT, lamN])
+    return np.array(_ss_contact_force(
+        np.asarray(q, dtype=float).tolist(), np.asarray(dq, dtype=float).tolist(),
+        np.asarray(ddq, dtype=float).tolist(), params))

@@ -4,6 +4,15 @@ The controller tracks h_d(s) with a diagonal PD law whose velocity reference
 w is not dh_d/dt directly but a governed copy of it.  The governor moves w
 toward dh_d/dt only as fast as an invariant-set bound allows, which keeps the
 commanded torque inside its box without ever clipping the closed-loop law.
+
+Each layer (`pd_accel`, `partitioned_torque`, `constraint_data`,
+`lyapunov_value`, `gamma_bound`, `governor_rate`) is an array wrapper around a
+private core on Python floats.  `SsController` chains the cores: a field call
+builds the arrays of `ss_dynamics` and `output_data` and the returned
+8-vector, and nothing in between.  Gamma comes from the constraint rows'
+structure, `_box_gamma`, not from 12x4 matrices.  V keeps numpy's fused
+multiply-add dot products and the governor keeps `np.tanh`, so the controller
+returns the same bits as the composed public functions.
 """
 
 from __future__ import annotations
@@ -14,13 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DynTerms, ss_dynamics, solve_ddq
+from .dynamics import DynTerms, _finite, _solve_ddq, ss_dynamics
 from .errors import SingularDynamicsError
-from .gait import GaitParams, OutputData, decoupling_or_raise, output_data
+from .gait import GaitParams, OutputData, _check_decoupling, output_data
 from .params import ModelParams
 
 GAMMA_CAP = 1e6
-_X_A = [1, 2, 4, 5]  # positions of x_a = (q_a, dq_a) in z = (q, dq, w)
 
 
 class ConstraintData(NamedTuple):
@@ -37,9 +45,31 @@ class ConstraintData(NamedTuple):
     P: np.ndarray        # (4, 4) ellipsoid metric for the level-set bound
 
 
+def _pd_accel(y, dq_a, w, gains) -> list[float]:
+    kp2, kp3, kd2, kd3 = gains
+    return [kp2 * y[0] + kd2 * (dq_a[0] - w[0]),
+            kp3 * y[1] + kd3 * (dq_a[1] - w[1])]
+
+
 def pd_accel(y: np.ndarray, dq_a: np.ndarray, w: np.ndarray, gait: GaitParams) -> np.ndarray:
     """Outer-loop commanded acceleration v = Kp y + Kd (dq_a - w)."""
-    return gait.kp * y + gait.kd * (dq_a - w)
+    return np.array(_pd_accel(np.asarray(y, dtype=float).tolist(),
+                              np.asarray(dq_a, dtype=float).tolist(),
+                              np.asarray(w, dtype=float).tolist(), gait.pd_gains))
+
+
+def _partitioned_torque(D, H, e2: float, e3: float) -> list[float]:
+    """`partitioned_torque` for D's rows and H as floats, e = dw_a - v."""
+    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = D
+    h1, h2, h3 = H
+    if abs(d11) < 1e-12:
+        raise SingularDynamicsError("unactuated inertia vanished in torque partition")
+    r1 = h1 / d11
+    u2 = ((d22 - d21 * d12 / d11) * e2 + (d23 - d21 * d13 / d11) * e3
+          + (h2 - d21 * r1))
+    u3 = ((d32 - d31 * d12 / d11) * e2 + (d33 - d31 * d13 / d11) * e3
+          + (h3 - d31 * r1))
+    return [u2, u3]
 
 
 def partitioned_torque(
@@ -58,17 +88,8 @@ def partitioned_torque(
     if terms is None:
         x_s = np.asarray(x_s, dtype=float)
         terms = ss_dynamics(x_s[:3], x_s[3:], params)
-    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = terms.D.tolist()
-    h1, h2, h3 = terms.H.tolist()
-    if abs(d11) < 1e-12:
-        raise SingularDynamicsError("unactuated inertia vanished in torque partition")
-    e2, e3 = np.subtract(dw_a, v).tolist()
-    r1 = h1 / d11
-    u2 = ((d22 - d21 * d12 / d11) * e2 + (d23 - d21 * d13 / d11) * e3
-          + (h2 - d21 * r1))
-    u3 = ((d32 - d31 * d12 / d11) * e2 + (d33 - d31 * d13 / d11) * e3
-          + (h3 - d31 * r1))
-    return np.array([u2, u3])
+    return np.array(_partitioned_torque(terms.D.tolist(), terms.H.tolist(),
+                                        *np.subtract(dw_a, v).tolist()))
 
 
 # state box rows of C_x: x_max - x_a >= 0, then x_a + x_max >= 0
@@ -76,33 +97,40 @@ _STATE_ROWS = np.vstack([-np.eye(4), np.eye(4)]).tolist()
 _ZERO_ROWS = np.zeros((8, 4)).tolist()
 
 
+def _torque_rows(W, Lf2h, gait: GaitParams):
+    """Rows k2, k3 of [W^-1 Kp, W^-1 Kd] and the four torque-row limits.
+
+    W = LgLfh (rows) and Lf2h are Python floats; W^-1 comes from the 2x2
+    adjugate over the determinant that the decoupling check bounds away
+    from zero.
+    """
+    _check_decoupling(W)
+    (a, b), (c, d) = W
+    det = a * d - b * c
+    i00, i01, i10, i11 = d / det, -b / det, -c / det, a / det
+    kp2, kp3, kd2, kd3 = gait.pd_gains
+    l2, l3 = Lf2h
+    wi_l2 = i00 * l2 + i01 * l3
+    wi_l3 = i10 * l2 + i11 * l3
+    u2, u3 = gait.torque_caps
+    k2 = [i00 * kp2, i01 * kp3, i00 * kd2, i01 * kd3]
+    k3 = [i10 * kp2, i11 * kp3, i10 * kd2, i11 * kd3]
+    return k2, k3, [u2 + wi_l2, u3 + wi_l3, u2 - wi_l2, u3 - wi_l3]
+
+
 def constraint_data(od: OutputData, gait: GaitParams) -> ConstraintData:
     """Torque and state box as affine rows in (x_a, x_w), x_w = (h_d, w).
 
-    The torque rows need W^-1 for the decoupling matrix W = LgLfh; it comes
-    from the 2x2 adjugate over the determinant that decoupling_or_raise
-    bounds away from zero.
+    The torque box is exact: u = -W^-1 (Lf2h + Kp(q_a - h_d) + Kd(dq_a - w))
+    with the decoupling matrix W = LgLfh, so k2, k3 are the rows of
+    [W^-1 Kp, W^-1 Kd].
     """
-    (a, b), (c, d) = decoupling_or_raise(od).tolist()
-    det = a * d - b * c
-    i00, i01, i10, i11 = d / det, -b / det, -c / det, a / det
-    kp2, kp3 = gait.kp.tolist()
-    kd2, kd3 = gait.kd.tolist()
-    l2, l3 = od.Lf2h.tolist()
-    wi_l2 = i00 * l2 + i01 * l3
-    wi_l3 = i10 * l2 + i11 * l3
-    u2, u3 = gait.u_max.tolist()
-
-    # torque box, exact: u = -W^-1 (Lf2h + Kp(q_a - h_d) + Kd(dq_a - w));
-    # k2, k3 are the rows of [W^-1 Kp, W^-1 Kd]
-    k2 = [i00 * kp2, i01 * kp3, i00 * kd2, i01 * kd3]
-    k3 = [i10 * kp2, i11 * kp3, i10 * kd2, i11 * kd3]
+    k2, k3, torque_limits = _torque_rows(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
     n2 = [-v for v in k2]
     n3 = [-v for v in k3]
     C_x = np.array(_STATE_ROWS + [k2, k3, n2, n3])
     C_w = np.array(_ZERO_ROWS + [n2, n3, k2, k3])
-    C_limit = np.array(gait.state_limits + [u2 + wi_l2, u3 + wi_l3,
-                                            u2 - wi_l2, u3 - wi_l3])
+    C_limit = np.array(gait.state_limits + torque_limits)
     return ConstraintData(C_x, C_w, C_limit, gait.tracking_metric)
 
 
@@ -110,9 +138,33 @@ def reference_point(od: OutputData, w: np.ndarray) -> np.ndarray:
     return np.concatenate([od.h_d, w])
 
 
-def lyapunov_value(x_a: np.ndarray, x_w: np.ndarray, P: np.ndarray) -> float:
-    e = x_a - x_w
+def _lyapunov(e: list, P: np.ndarray) -> float:
+    # numpy's matvec and dot accumulate with fused multiply-adds, which
+    # Python floats cannot reproduce; V stays bit-identical on numpy
+    e = np.array(e)
     return float(e @ P @ e)
+
+
+def lyapunov_value(x_a: np.ndarray, x_w: np.ndarray, P: np.ndarray) -> float:
+    return _lyapunov(np.subtract(x_a, x_w).tolist(), P)
+
+
+def _gamma_rows(r, den, lim) -> float:
+    """Gamma from the per-row values r_i, C_x,i P^-1 C_x,i' and limits."""
+    best = GAMMA_CAP
+    for ri, di, li in zip(r, den, lim):
+        if not isfinite(li):
+            continue
+        if di < 1e-14:
+            if ri < 0.0:
+                return 0.0
+            continue
+        if ri <= 0.0:
+            return 0.0
+        level = ri ** 2 / di
+        if level < best:
+            best = level
+    return best
 
 
 def gamma_bound(x_w: np.ndarray, cdata: ConstraintData) -> float:
@@ -124,18 +176,37 @@ def gamma_bound(x_w: np.ndarray, cdata: ConstraintData) -> float:
     """
     r = cdata.C_x @ x_w + cdata.C_w @ x_w + cdata.C_limit
     den = cdata.C_x ** 2 @ (1.0 / cdata.P.diagonal())
-    best = GAMMA_CAP
-    for ri, di, li in zip(r.tolist(), den.tolist(), cdata.C_limit.tolist()):
-        if not isfinite(li):
-            continue
-        if di < 1e-14:
-            if ri < 0.0:
-                return 0.0
-            continue
-        if ri <= 0.0:
-            return 0.0
-        best = min(best, ri ** 2 / di)
-    return best
+    return _gamma_rows(r.tolist(), den.tolist(), cdata.C_limit.tolist())
+
+
+def _box_gamma(x_w: list, k2: list, k3: list, torque_limits: list,
+               gait: GaitParams) -> float:
+    """`gamma_bound` of the `constraint_data` rows, on Python floats.
+
+    Row by row, each value is the one numpy forms from the 12x4 blocks:
+    - a state row has one unit entry, so r_i = x_max -+ x_w,j and the
+      denominator is the j-th entry of diag(P^-1);
+    - a torque row has C_w,i = -C_x,i, so its x_a and x_w parts cancel
+      exactly at x_a = x_w and r_i is its limit;
+    - the denominator of a torque row with entries k is
+      (k0^2 p0 + k2^2 p2) + (k1^2 p1 + k3^2 p3), the order in which
+      numpy's matvec sums it.
+    """
+    p0, p1, p2, p3 = gait.metric_inverse
+    lim = gait.state_limits + torque_limits
+    r = ([li - xi for li, xi in zip(lim[:4], x_w)]
+         + [li + xi for li, xi in zip(lim[4:8], x_w)] + torque_limits)
+    den2, den3 = [(k[0] * k[0] * p0 + k[2] * k[2] * p2)
+                  + (k[1] * k[1] * p1 + k[3] * k[3] * p3) for k in (k2, k3)]
+    den = gait.metric_inverse * 2 + [den2, den3, den2, den3]
+    return _gamma_rows(r, den, lim)
+
+
+def _governor_rate(w, target, margin: float, kappa: float, rate_cap: float,
+                   sign_eps: float) -> list[float]:
+    amp = min(kappa * max(margin, 0.0), rate_cap)
+    # np.tanh, not math.tanh: the two differ in the last bit
+    return [float(amp * np.tanh((ti - wi) / sign_eps)) for wi, ti in zip(w, target)]
 
 
 def governor_rate(
@@ -147,8 +218,9 @@ def governor_rate(
     sign_eps: float,
 ) -> np.ndarray:
     """dw: capped speed toward the target, scaled by the safety margin."""
-    amp = min(kappa * max(margin, 0.0), rate_cap)
-    return amp * np.tanh((target - w) / sign_eps)
+    return np.array(_governor_rate(np.asarray(w, dtype=float).tolist(),
+                                   np.asarray(target, dtype=float).tolist(),
+                                   margin, kappa, rate_cap, sign_eps))
 
 
 @dataclass
@@ -206,40 +278,49 @@ class SsController:
         return np.asarray(x_s, dtype=float)[4:6].copy()
 
     def _pipeline(self, z: np.ndarray):
+        """(dz/dt, outputs, V, Gamma, u, u_raw) at z, all but the outputs as floats."""
         z = np.asarray(z, dtype=float)
         key = z.tobytes()
         if key == self._last[0]:
             return self._last[1]
-        x_s = z[:6]
-        w = z[6:8]
+        zl = z.tolist()
+        if not all(map(isfinite, zl)):
+            _finite("q", zl[:3])
+            _finite("dq", zl[3:6])
+            _finite("w", zl[6:])
+        w = zl[6:]
+        gait = self.gait
         terms = ss_dynamics(z[:3], z[3:6], self.params)
-        od = output_data(x_s, self.gait, self.params, terms=terms)
-        cdata = constraint_data(od, self.gait)
-        x_w = reference_point(od, w)
-        V = lyapunov_value(z[_X_A], x_w, cdata.P)
-        Gamma = gamma_bound(x_w, cdata)
+        od = output_data(z[:6], gait, self.params, terms=terms)
+        D, H = terms.D.tolist(), terms.H.tolist()
+        k2, k3, torque_limits = _torque_rows(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
+        x_w = od.h_d.tolist() + w
+        V = _lyapunov([zl[1] - x_w[0], zl[2] - x_w[1], zl[4] - x_w[2], zl[5] - x_w[3]],
+                      gait.tracking_metric)
+        Gamma = _box_gamma(x_w, k2, k3, torque_limits, gait)
         if self.governor_enabled:
-            dw = governor_rate(w, od.dh_d_dt, Gamma - V, self.kappa,
-                               self.rate_cap, self.sign_eps)
+            dw = _governor_rate(w, od.dh_d_dt.tolist(), Gamma - V, self.kappa,
+                                self.rate_cap, self.sign_eps)
         else:
-            dw = np.zeros(2)
-        v = pd_accel(od.y, z[4:6], w, self.gait)
-        u_raw = partitioned_torque(x_s, dw, v, self.params, terms=terms)
-        u = np.array([min(max(ui, -cap), cap)
-                      for ui, cap in zip(u_raw.tolist(), self.gait.u_max.tolist())])
-        ddq = solve_ddq(terms, terms.B @ u - terms.H)
-        result = ddq, od, V, Gamma, dw, u, u_raw
+            dw = [0.0, 0.0]
+        v = _pd_accel(od.y.tolist(), zl[4:6], w, gait.pd_gains)
+        u_raw = _partitioned_torque(D, H, dw[0] - v[0], dw[1] - v[1])
+        u = [min(max(ui, -cap), cap) for ui, cap in zip(u_raw, gait.torque_caps)]
+        u2, u3 = u
+        # D ddq = B u - H
+        (ddq,) = _solve_ddq(D, [[b2 * u2 + b3 * u3 - h
+                                 for (b2, b3), h in zip(terms.B.tolist(), H)]])
+        result = zl[3:6] + list(ddq) + dw, od, V, Gamma, u, u_raw
         self._last = (key, result)
         return result
 
     def field(self, t: float, z: np.ndarray) -> np.ndarray:
-        ddq, _, _, _, dw, _, _ = self._pipeline(z)
-        return np.concatenate((z[3:6], ddq, dw))
+        return np.array(self._pipeline(z)[0])
 
     def sample(self, z: np.ndarray) -> SsSample:
         """Logged quantities at z, as copies that leave the kept result intact."""
-        ddq, od, V, Gamma, _, u, u_raw = self._pipeline(z)
-        sat = bool(np.any(np.abs(u_raw) > self.gait.u_max + 1e-12))
-        return SsSample(u.copy(), u_raw.copy(), od.y.copy(), od.dy.copy(), V,
-                        Gamma, z[6:8].copy(), od.h_d.copy(), od.dh_d_dt.copy(),
-                        od.s, sat, ddq.copy())
+        rate, od, V, Gamma, u, u_raw = self._pipeline(z)
+        sat = any(abs(ui) > cap + 1e-12 for ui, cap in zip(u_raw, self.gait.torque_caps))
+        return SsSample(np.array(u), np.array(u_raw), od.y.copy(), od.dy.copy(), V,
+                        Gamma, np.array(z[6:8], dtype=float), od.h_d.copy(),
+                        od.dh_d_dt.copy(), od.s, sat, np.array(rate[3:6]))

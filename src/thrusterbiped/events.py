@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos
+from math import cos, sin
 from typing import Callable
 
 import numpy as np
@@ -51,8 +51,6 @@ def swing_foot_descending(x_s: np.ndarray, params: ModelParams) -> float:
     """Vertical swing-foot velocity; negative means descending."""
     q1, q2 = x_s[0], x_s[1]
     dq1, dq2 = x_s[3], x_s[4]
-    from math import sin
-
     return params.l * (-sin(q1) * dq1 + sin(q1 + q2) * (dq1 + dq2))
 
 

@@ -5,6 +5,12 @@ the normalized phase ``s = (theta - theta_plus) / (theta_minus - theta_plus)``
 with ``theta = q1``.  A gait is the Bezier coefficients, the phase endpoints,
 tracking gains, and the actuation/state limits used by the reference
 governor.
+
+`output_data` runs on Python floats: the Bezier rows by de Casteljau with
+unrolled levels, the drift and input columns by the dynamics' closed-form
+solve `_solve_ddq`, and the decoupling check by `_check_decoupling`, which the
+single-support controller calls directly.  A gait keeps its gains, diag(P^-1)
+and limits as floats for that controller.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DynTerms, solve_ddq, ss_dynamics
+from .dynamics import DynTerms, _solve_ddq, ss_dynamics
 from .errors import DecouplingSingularityError, GaitDesignError
 from .params import ModelParams
 
@@ -38,6 +44,9 @@ class GaitParams:
     bezier_points: tuple = field(init=False, repr=False, compare=False)
     tracking_metric: np.ndarray = field(init=False, repr=False, compare=False)
     state_limits: list = field(init=False, repr=False, compare=False)
+    pd_gains: list = field(init=False, repr=False, compare=False)
+    metric_inverse: list = field(init=False, repr=False, compare=False)
+    torque_caps: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bezier = np.asarray(self.bezier, dtype=float)
@@ -53,10 +62,14 @@ class GaitParams:
             raise ValueError("gains must be positive")
         self.bezier_points = _control_points(self.bezier)
         # governor metric P = diag(Kp/2, Kd/2) and the limits of its eight
-        # state-box rows, x_max - x_a >= 0 and x_a + x_max >= 0
-        self.tracking_metric = np.diag(0.5 * np.concatenate([self.kp, self.kd]))
+        # state-box rows, x_max - x_a >= 0 and x_a + x_max >= 0; the control
+        # loop reads the gains, diag(P^-1) and u_max as Python floats
+        self.pd_gains = self.kp.tolist() + self.kd.tolist()
+        self.tracking_metric = np.diag(0.5 * np.array(self.pd_gains))
         self.tracking_metric.flags.writeable = False
+        self.metric_inverse = (1.0 / self.tracking_metric.diagonal()).tolist()
         self.state_limits = self.x_max.tolist() * 2
+        self.torque_caps = self.u_max.tolist()
 
 
 class PhaseData(NamedTuple):
@@ -122,14 +135,33 @@ def _bezier_rows(points: tuple, s: float) -> tuple[list, list, list]:
 
 
 def _de_casteljau(points: tuple, s: float, t: float) -> float:
-    """Point of one Bezier curve at s, with t = 1 - s."""
-    points = list(points)
+    """Point of one Bezier curve at s, with t = 1 - s.
+
+    Each level of the triangle replaces point j by t p_j + s p_(j+1).  For
+    four to six points (a degree-5 gait row and its two derivatives) the
+    levels are unrolled, the same steps in the same order; other lengths
+    loop over them.
+    """
     n = len(points)
-    while n > 1:
-        n -= 1
-        for j in range(n):
-            points[j] = t * points[j] + s * points[j + 1]
-    return points[0]
+    if not 4 <= n <= 6:
+        points = list(points)
+        while n > 1:
+            n -= 1
+            for j in range(n):
+                points[j] = t * points[j] + s * points[j + 1]
+        return points[0]
+    if n == 6:
+        p0, p1, p2, p3, p4, p5 = points
+        points = (t * p0 + s * p1, t * p1 + s * p2, t * p2 + s * p3,
+                  t * p3 + s * p4, t * p4 + s * p5)
+    if n >= 5:
+        p0, p1, p2, p3, p4 = points
+        points = (t * p0 + s * p1, t * p1 + s * p2, t * p2 + s * p3,
+                  t * p3 + s * p4)
+    p0, p1, p2, p3 = points
+    p0, p1, p2 = t * p0 + s * p1, t * p1 + s * p2, t * p2 + s * p3
+    p0, p1 = t * p0 + s * p1, t * p1 + s * p2
+    return t * p0 + s * p1
 
 
 def phase(q1: float, gait: GaitParams) -> PhaseData:
@@ -163,8 +195,8 @@ def output_data(
     (h2, h3), (dh2, dh3), (dd2, dd3) = _bezier_rows(gait.bezier_points, s)
     sp = ph.ds_dtheta
 
-    sol = solve_ddq(terms, np.concatenate((-terms.H[:, None], terms.B), axis=1))
-    (f1, g11, g12), (f2, g21, g22), (f3, g31, g32) = sol.tolist()
+    (f1, f2, f3), (g11, g21, g31), (g12, g22, g32) = _solve_ddq(
+        terms.D.tolist(), [[-v for v in terms.H.tolist()], *terms.B.T.tolist()])
 
     a2, a3 = dh2 * sp, dh3 * sp
     sdot = sp * dq1
@@ -191,7 +223,13 @@ def decoupling_or_raise(od: OutputData) -> np.ndarray:
     Frobenius norm and determinant, which avoids an SVD in the control loop.
     """
     A = od.LgLfh
-    (a, b), (c, d) = A.tolist()
+    _check_decoupling(A.tolist())
+    return A
+
+
+def _check_decoupling(W: list) -> None:
+    """`decoupling_or_raise` on the rows of LgLfh as Python floats."""
+    (a, b), (c, d) = W
     f2 = a ** 2 + b ** 2 + c ** 2 + d ** 2
     det = a * d - b * c
     root = sqrt(max(f2 * f2 - 4.0 * det * det, 0.0))
@@ -199,7 +237,6 @@ def decoupling_or_raise(od: OutputData) -> np.ndarray:
     s2 = sqrt(max((f2 - root) / 2.0, 0.0))
     if s2 <= s1 * 1e-8:
         raise DecouplingSingularityError("LgLfh condition number exceeds 1e8")
-    return A
 
 
 def zero_dynamics_residual(x_s: np.ndarray, gait: GaitParams, params: ModelParams) -> float:

@@ -17,11 +17,13 @@ import numpy as np
 
 from .config import ScenarioConfig, _write_lines, save_config
 from .dynamics import (
-    hip_position_pinned,
-    hip_velocity_pinned,
-    ss_contact_force,
-    swing_foot_pinned,
+    _hip_position,
+    _hip_velocity,
+    _ss_contact_force,
+    _swing_foot,
     extend_pinned_state,
+    hip_position_pinned,
+    swing_foot_pinned,
 )
 from .erg import SsController
 from .events import impact_map, relabel, swing_foot_descending, touchdown_guard
@@ -143,37 +145,41 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
         start_state = x_s.copy()
 
         z0 = np.concatenate([x_s, ss_ctrl.initial_w(x_s)])
-        p2x0 = stance[0] + swing_foot_pinned(x_s[:3], params)[0]
-        arm_dist = ARM_TRAVEL_FRACTION * params.l
+        sx, sy = stance.tolist()
+        l = params.l
+        p2x0 = sx + _swing_foot(x_s[0], x_s[1], l)[0]
+        arm_dist = ARM_TRAVEL_FRACTION * l
         # the swing foot grazes ground height where the legs cross (q2 = 0);
         # require q2 past half its touchdown value so that region stays dead
         q2_arm = 0.5 * gait.bezier[0, -1]
 
-        max_abs_u = np.zeros(2)
+        max_u2 = max_u3 = 0.0
         saturations = 0
-        min_lam_n = np.inf
+        min_lam_n = math.inf
         max_ratio = 0.0
 
         def log_node(ti, zi):
             """One SS trace row, logged where the integrator creates the node."""
-            nonlocal max_abs_u, saturations, min_lam_n, max_ratio
+            nonlocal max_u2, max_u3, saturations, min_lam_n, max_ratio
             smp = ss_ctrl.sample(zi)
-            lam1 = ss_contact_force(zi[:3], zi[3:6], smp.ddq, params)
-            hip = stance + hip_position_pinned(zi[:3], params)
-            dhip = hip_velocity_pinned(zi[:3], zi[3:6], params)
+            q1, q2, q3, dq1, dq2, dq3, w1, w2 = zi.tolist()
+            u2, u3 = smp.u.tolist()
+            lamT, lamN = _ss_contact_force((q1, q2, q3), (dq1, dq2, dq3),
+                                           smp.ddq.tolist(), params)
+            hx, hy = _hip_position(q1, l)
+            dhx, dhy = _hip_velocity(q1, dq1, l)
             log.rows.append([
-                ti, "SS", zi[0], zi[1], zi[2], hip[0], hip[1],
-                zi[3], zi[4], zi[5], dhip[0], dhip[1],
-                smp.u[0], smp.u[1], 0.0, lam1[0], lam1[1], NAN, NAN,
-                smp.y[0], smp.y[1], smp.dy[0], smp.dy[1],
-                smp.V, smp.Gamma, smp.w[0], smp.w[1], smp.s,
+                ti, "SS", q1, q2, q3, sx + hx, sy + hy,
+                dq1, dq2, dq3, dhx, dhy,
+                u2, u3, 0.0, lamT, lamN, NAN, NAN,
+                *smp.y.tolist(), *smp.dy.tolist(),
+                smp.V, smp.Gamma, w1, w2, smp.s,
             ])
-            max_abs_u = np.maximum(max_abs_u, np.abs(smp.u))
+            max_u2 = max(max_u2, abs(u2))
+            max_u3 = max(max_u3, abs(u3))
             saturations += int(smp.saturated)
-            if lam1[1] < min_lam_n:
-                min_lam_n = float(lam1[1])
-            ratio = abs(lam1[0]) / lam1[1] if lam1[1] > 0.0 else np.inf
-            max_ratio = max(max_ratio, float(ratio))
+            min_lam_n = min(min_lam_n, lamN)
+            max_ratio = max(max_ratio, abs(lamT) / lamN if lamN > 0.0 else math.inf)
 
         def accept_node(ti, zi):
             log_node(ti, zi)
@@ -185,7 +191,7 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
             ss_ctrl.field, z0, t, t + SS_TIMEOUT, cfg.sim.dt_ss,
             guard=lambda z: touchdown_guard(z[:6], params),
             guard_armed=lambda z: (
-                stance[0] + swing_foot_pinned(z[:3], params)[0] - p2x0 > arm_dist
+                sx + _swing_foot(z[0], z[1], l)[0] - p2x0 > arm_dist
                 and z[1] > q2_arm
             ),
             guard_descending=lambda z: (
@@ -194,7 +200,7 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
             abort=accept_node,
         )
         if result.event is not None:
-            log_node(result.t[-1], result.x[-1])
+            log_node(float(result.t[-1]), result.x[-1])
 
         if result.abort_reason is not None:
             log.aborted = result.abort_reason
@@ -215,10 +221,9 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
         x_post = np.concatenate([q_e2[:3], dq_e2[:3]])
         od_post = output_data(x_post, gait, params)
         log.rows.append([
-            t, "IMPACT", q_e2[0], q_e2[1], q_e2[2], q_e2[3], q_e2[4],
-            dq_e2[0], dq_e2[1], dq_e2[2], dq_e2[3], dq_e2[4],
+            t, "IMPACT", *q_e2.tolist(), *dq_e2.tolist(),
             NAN, NAN, NAN, NAN, NAN, NAN, NAN,
-            od_post.y[0], od_post.y[1], od_post.dy[0], od_post.dy[1],
+            *od_post.y.tolist(), *od_post.dy.tolist(),
             NAN, NAN, NAN, NAN, od_post.s_raw,
         ])
         residual_post = zero_dynamics_residual(x_post, gait, params)
@@ -235,23 +240,19 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
 
         max_f_th = 0.0
         peak_normal_sum = 0.0
-        for ti, xi, lami, etai in zip(trace.t, trace.x, trace.lam, trace.eta):
-            sub = np.concatenate([xi[:3], xi[5:8]])
-            od = output_data(sub, gait, params)
+        for ti, xi, lami, etai in zip(trace.t.tolist(), trace.x.tolist(),
+                                      trace.lam.tolist(), trace.eta.tolist()):
+            od = output_data(xi[:3] + xi[5:8], gait, params)
             log.rows.append([
-                t + ti, "DS", xi[0], xi[1], xi[2], xi[3], xi[4],
-                xi[5], xi[6], xi[7], xi[8], xi[9],
-                etai[0], etai[1], etai[2],
-                lami[0], lami[1], lami[2], lami[3],
-                od.y[0], od.y[1], od.dy[0], od.dy[1],
+                t + ti, "DS", *xi, *etai, *lami,
+                *od.y.tolist(), *od.dy.tolist(),
                 NAN, NAN, NAN, NAN, od.s_raw,
             ])
-            min_lam_n = min(min_lam_n, float(lami[1]), float(lami[3]))
+            min_lam_n = min(min_lam_n, lami[1], lami[3])
             for lt, ln in ((lami[0], lami[1]), (lami[2], lami[3])):
-                ratio = abs(lt) / ln if ln > 0.0 else np.inf
-                max_ratio = max(max_ratio, float(ratio))
-            max_f_th = max(max_f_th, float(etai[2]))
-            peak_normal_sum = max(peak_normal_sum, float(lami[1] + lami[3]))
+                max_ratio = max(max_ratio, abs(lt) / ln if ln > 0.0 else math.inf)
+            max_f_th = max(max_f_th, etai[2])
+            peak_normal_sum = max(peak_normal_sum, lami[1] + lami[3])
 
         t = t + trace.t[-1]
         stance = new_stance
@@ -265,7 +266,7 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
             residual_post_impact=residual_post,
             residual_ss_start=zero_dynamics_residual(x_s, gait, params),
             start_state=start_state,
-            max_abs_u=max_abs_u,
+            max_abs_u=np.array([max_u2, max_u3]),
             erg_saturations=saturations,
             min_lam_n=min_lam_n,
             max_cone_ratio=max_ratio,
@@ -316,6 +317,8 @@ def max_tracking_error(log: GaitLog) -> float:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):

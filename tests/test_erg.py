@@ -20,7 +20,7 @@ from thrusterbiped.erg import (
     pd_accel,
     reference_point,
 )
-from thrusterbiped.errors import SingularDynamicsError
+from thrusterbiped.errors import DecouplingSingularityError, SingularDynamicsError
 from thrusterbiped.gait import output_data
 from thrusterbiped.integrate import rk4_step
 
@@ -319,11 +319,60 @@ def test_field_integrates_the_sampled_accelerations(gait, params, monkeypatch):
     def no_solve(*args):
         raise AssertionError("field solved for ddq again")
 
-    monkeypatch.setattr(erg, "solve_ddq", no_solve)
+    monkeypatch.setattr(erg, "_solve_ddq", no_solve)
     got = ctrl.field(0.0, z)
     assert np.array_equal(got[:3], z[3:6])
     assert np.array_equal(got[3:6], smp.ddq)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("limits", ["default", "tight torque", "unbounded state"])
+def test_pipeline_is_the_composition_of_the_layer_functions(rng, gait, params, limits):
+    # the controller runs private float cores; each public layer function is
+    # an array wrapper around the same core, so composing the public functions
+    # must give the controller's values bit for bit
+    if limits == "tight torque":
+        gait = dataclasses.replace(gait, u_max=np.array([0.5, 0.2]))
+    elif limits == "unbounded state":
+        gait = dataclasses.replace(gait, x_max=np.array([np.inf, 1.2, np.inf, 10.0]))
+    checked = 0
+    for _ in range(300):
+        z = np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-2.0, 2.0, 5)])
+        x, w = z[:6], z[6:]
+        ctrl = SsController(gait, params)
+        try:
+            smp = ctrl.sample(z)
+        except DecouplingSingularityError:
+            continue
+        terms = ss_dynamics(x[:3], x[3:], params)
+        od = output_data(x, gait, params, terms=terms)
+        cdata = constraint_data(od, gait)
+        x_w = reference_point(od, w)
+        V = lyapunov_value(x_a_of(x), x_w, cdata.P)
+        Gamma = gamma_bound(x_w, cdata)
+        dw = governor_rate(w, od.dh_d_dt, Gamma - V, ctrl.kappa, ctrl.rate_cap,
+                           ctrl.sign_eps)
+        v = pd_accel(od.y, x[4:6], w, gait)
+        u_raw = partitioned_torque(x, dw, v, params, terms=terms)
+        u = np.clip(u_raw, -gait.u_max, gait.u_max)
+        ddq = solve_ddq(terms, terms.B @ u - terms.H)
+        assert smp.V == V and smp.Gamma == Gamma
+        assert np.array_equal(smp.u_raw, u_raw) and np.array_equal(smp.u, u)
+        assert np.array_equal(smp.ddq, ddq)
+        assert np.array_equal(ctrl.field(0.0, z), np.concatenate([x[3:], ddq, dw]))
+        checked += 1
+    assert checked > 250
+
+
+@pytest.mark.parametrize("entry", [0, 2, 3, 5, 6, 7])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_field_rejects_a_non_finite_state_by_name(gait, params, entry, value):
+    x = on_manifold_state(gait, 0.4, -0.9)
+    z = np.concatenate([x, x[4:6]])
+    z[entry] = value
+    name = "q" if entry < 3 else "dq" if entry < 6 else "w"
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        SsController(gait, params).field(0.0, z)
 
 
 def test_closed_loop_respects_boxes_and_margin(one_step_log, gait):

@@ -220,7 +220,8 @@ def test_each_node_runs_the_control_pipeline_once(default_cfg, gait, params,
     # every pipeline run evaluates the outputs once, so counting output_data
     # in erg counts pipeline runs; the stance force reuses the pipeline's
     # accelerations, so nothing in dynamics evaluates the SS model again
-    calls = {"output_data": 0, "rk4_step": 0, "ss_dynamics": 0, "solve_ddq": 0}
+    calls = {"output_data": 0, "rk4_step": 0, "ss_dynamics": 0, "solve_ddq": 0,
+             "_solve_ddq": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -230,11 +231,11 @@ def test_each_node_runs_the_control_pipeline_once(default_cfg, gait, params,
 
     monkeypatch.setattr(erg, "output_data", counted("output_data", erg.output_data))
     monkeypatch.setattr(integrate, "rk4_step", counted("rk4_step", integrate.rk4_step))
-    for name in ("ss_dynamics", "solve_ddq"):
+    for name in ("ss_dynamics", "solve_ddq", "_solve_ddq"):
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
     log = run_walk(one_step_cfg(default_cfg))
     assert log.completed_steps == 1, log.aborted
-    assert calls["ss_dynamics"] == calls["solve_ddq"] == 0
+    assert calls["ss_dynamics"] == calls["solve_ddq"] == calls["_solve_ddq"] == 0
     # a logged node is sampled just before the next RK4 step's first stage
     # asks for the field there; only the event node of the one SS phase,
     # which no stage evaluates, adds a run
