@@ -190,7 +190,9 @@ def _box_gamma(x_w: list, k2: list, k3: list, torque_limits: list,
       exactly at x_a = x_w and r_i is its limit;
     - the denominator of a torque row with entries k is
       (k0^2 p0 + k2^2 p2) + (k1^2 p1 + k3^2 p3), the order in which
-      numpy's matvec sums it.
+      OpenBLAS's matvec kernel sums a row of four.  Under a BLAS that sums
+      in another order the two can differ in the last bit, which
+      test_pipeline_is_the_composition_of_the_layer_functions would show.
     """
     p0, p1, p2, p3 = gait.metric_inverse
     lim = gait.state_limits + torque_limits

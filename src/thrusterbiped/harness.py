@@ -254,7 +254,7 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
             max_f_th = max(max_f_th, etai[2])
             peak_normal_sum = max(peak_normal_sum, lami[1] + lami[3])
 
-        t = t + trace.t[-1]
+        t = t + float(trace.t[-1])
         stance = new_stance
         x_s = np.concatenate([x_df[:3], x_df[5:8]])
         fallbacks = sum(1 for item in trace.statuses if item[1] != "optimal")

@@ -120,6 +120,9 @@ def test_trace_has_one_impact_between_phases(one_step_log):
     assert np.all(one_step_log.column("lamN2", "DS") > 0.0)
     row_imp = one_step_log.rows[i]
     assert math.isnan(row_imp[TRACE_COLUMNS.index("u2")])
+    # rows hold Python floats, not numpy scalars, so write_logs formats
+    # each entry with repr directly
+    assert {type(v) for r in one_step_log.rows for v in r} == {float, str}
 
 
 def test_write_logs_files_and_content(tmp_path, one_step_log, default_cfg):
