@@ -326,20 +326,22 @@ def test_field_integrates_the_sampled_accelerations(gait, params, monkeypatch):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("limits", ["default", "tight torque", "unbounded state"])
-def test_pipeline_is_the_composition_of_the_layer_functions(rng, gait, params, limits):
+@pytest.mark.parametrize("case", ["default", "tight torque", "unbounded state",
+                                  "governor off"])
+def test_pipeline_is_the_composition_of_the_layer_functions(rng, gait, params, case):
     # the controller runs private float cores; each public layer function is
     # an array wrapper around the same core, so composing the public functions
     # must give the controller's values bit for bit
-    if limits == "tight torque":
+    if case == "tight torque":
         gait = dataclasses.replace(gait, u_max=np.array([0.5, 0.2]))
-    elif limits == "unbounded state":
+    elif case == "unbounded state":
         gait = dataclasses.replace(gait, x_max=np.array([np.inf, 1.2, np.inf, 10.0]))
+    governed = case != "governor off"
     checked = 0
     for _ in range(300):
         z = np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-2.0, 2.0, 5)])
         x, w = z[:6], z[6:]
-        ctrl = SsController(gait, params)
+        ctrl = SsController(gait, params, governor_enabled=governed)
         try:
             smp = ctrl.sample(z)
         except DecouplingSingularityError:
@@ -351,7 +353,7 @@ def test_pipeline_is_the_composition_of_the_layer_functions(rng, gait, params, l
         V = lyapunov_value(x_a_of(x), x_w, cdata.P)
         Gamma = gamma_bound(x_w, cdata)
         dw = governor_rate(w, od.dh_d_dt, Gamma - V, ctrl.kappa, ctrl.rate_cap,
-                           ctrl.sign_eps)
+                           ctrl.sign_eps) if governed else np.zeros(2)
         v = pd_accel(od.y, x[4:6], w, gait)
         u_raw = partitioned_torque(x, dw, v, params, terms=terms)
         u = np.clip(u_raw, -gait.u_max, gait.u_max)
