@@ -175,32 +175,44 @@ def gamma_bound(x_w: np.ndarray, cdata: ConstraintData) -> float:
     not bind; a reference already on or past a boundary gives zero.
     """
     r = cdata.C_x @ x_w + cdata.C_w @ x_w + cdata.C_limit
-    den = cdata.C_x ** 2 @ (1.0 / cdata.P.diagonal())
-    return _gamma_rows(r.tolist(), den.tolist(), cdata.C_limit.tolist())
+    p = (1.0 / cdata.P.diagonal()).tolist()
+    den = [_metric_norm(row, p) for row in cdata.C_x.tolist()]
+    return _gamma_rows(r.tolist(), den, cdata.C_limit.tolist())
+
+
+def _metric_norm(c, p) -> float:
+    """C_x,i P^-1 C_x,i' for a row c of four and p = diag(P^-1).
+
+    The one summation order of every Gamma denominator, so `gamma_bound` and
+    the controller's `_box_gamma` agree bit for bit under any BLAS.  It is the
+    order in which OpenBLAS's matvec sums a row of four, so both also equal
+    numpy's ``C_x**2 @ diag(P^-1)`` under the OpenBLAS build that
+    ``tests/data/ss_pipeline_reference.csv`` was written with.
+    """
+    c0, c1, c2, c3 = c
+    p0, p1, p2, p3 = p
+    return (c0 * c0 * p0 + c2 * c2 * p2) + (c1 * c1 * p1 + c3 * c3 * p3)
 
 
 def _box_gamma(x_w: list, k2: list, k3: list, torque_limits: list,
                gait: GaitParams) -> float:
     """`gamma_bound` of the `constraint_data` rows, on Python floats.
 
-    Row by row, each value is the one numpy forms from the 12x4 blocks:
+    Row by row, each value is the one `gamma_bound` forms from the 12x4
+    blocks:
     - a state row has one unit entry, so r_i = x_max -+ x_w,j and the
       denominator is the j-th entry of diag(P^-1);
     - a torque row has C_w,i = -C_x,i, so its x_a and x_w parts cancel
       exactly at x_a = x_w and r_i is its limit;
-    - the denominator of a torque row with entries k is
-      (k0^2 p0 + k2^2 p2) + (k1^2 p1 + k3^2 p3), the order in which
-      OpenBLAS's matvec kernel sums a row of four.  Under a BLAS that sums
-      in another order the two can differ in the last bit, which
-      test_pipeline_is_the_composition_of_the_layer_functions would show.
+    - a torque row's denominator is `_metric_norm` of its k, the function
+      `gamma_bound` sums every row with.
     """
-    p0, p1, p2, p3 = gait.metric_inverse
+    p = gait.metric_inverse
     lim = gait.state_limits + torque_limits
     r = ([li - xi for li, xi in zip(lim[:4], x_w)]
          + [li + xi for li, xi in zip(lim[4:8], x_w)] + torque_limits)
-    den2, den3 = [(k[0] * k[0] * p0 + k[2] * k[2] * p2)
-                  + (k[1] * k[1] * p1 + k[3] * k[3] * p3) for k in (k2, k3)]
-    den = gait.metric_inverse * 2 + [den2, den3, den2, den3]
+    den2, den3 = _metric_norm(k2, p), _metric_norm(k3, p)
+    den = p * 2 + [den2, den3, den2, den3]
     return _gamma_rows(r, den, lim)
 
 

@@ -96,12 +96,11 @@ def _control_points(coeffs: np.ndarray) -> tuple:
     The derivative curves use the scaled forward differences of the control
     points.  A gait computes these once; bezier_eval recomputes them per call.
     """
-    b = np.asarray(coeffs, dtype=float)
-    m = b.shape[-1] - 1
+    m = BEZIER_DEGREE
     points = []
-    for row in b.reshape(-1, m + 1).tolist():
+    for row in np.reshape(coeffs, (-1, m + 1)).tolist():
         d1 = [m * (q - p) for p, q in zip(row, row[1:])]
-        d2 = [(m - 1) * (q - p) for p, q in zip(d1, d1[1:])] if m >= 2 else [0.0]
+        d2 = [(m - 1) * (q - p) for p, q in zip(d1, d1[1:])]
         points.append((tuple(row), tuple(d1), tuple(d2)))
     return tuple(points)
 
@@ -114,9 +113,11 @@ def bezier_eval(coeffs: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, n
     s = 1 return the first and last control points exactly.  A power basis
     evaluated by Horner would be cheaper, but its value at s = 1 is a rounded
     sum of coefficients, and the clamped phase relies on h_d(1) being the last
-    control point.
+    control point.  Rows must have BEZIER_DEGREE + 1 control points.
     """
     b = np.asarray(coeffs, dtype=float)
+    if b.ndim == 0 or b.shape[-1] != BEZIER_DEGREE + 1:
+        raise ValueError(f"Bezier rows must have {BEZIER_DEGREE + 1} control points")
     val, der1, der2 = _bezier_rows(_control_points(b), float(s))
     lead = b.shape[:-1]
     return (np.array(val).reshape(lead), np.array(der1).reshape(lead),
@@ -137,19 +138,11 @@ def _bezier_rows(points: tuple, s: float) -> tuple[list, list, list]:
 def _de_casteljau(points: tuple, s: float, t: float) -> float:
     """Point of one Bezier curve at s, with t = 1 - s.
 
-    Each level of the triangle replaces point j by t p_j + s p_(j+1).  For
-    four to six points (a degree-5 gait row and its two derivatives) the
-    levels are unrolled, the same steps in the same order; other lengths
-    loop over them.
+    Each level of the triangle replaces point j by t p_j + s p_(j+1), the
+    levels unrolled.  The curves are a degree-5 row and its two derivatives,
+    so six, five or four points.
     """
     n = len(points)
-    if not 4 <= n <= 6:
-        points = list(points)
-        while n > 1:
-            n -= 1
-            for j in range(n):
-                points[j] = t * points[j] + s * points[j + 1]
-        return points[0]
     if n == 6:
         p0, p1, p2, p3, p4, p5 = points
         points = (t * p0 + s * p1, t * p1 + s * p2, t * p2 + s * p3,

@@ -53,6 +53,12 @@ def test_constant_curve_has_zero_derivatives():
         assert np.max(np.abs(d2)) < 1e-15
 
 
+def test_bezier_eval_rejects_rows_of_another_degree():
+    for coeffs in (np.zeros((2, 5)), np.zeros(7), np.float64(0.0)):
+        with pytest.raises(ValueError, match="must have 6 control points"):
+            bezier_eval(coeffs, 0.5)
+
+
 def test_curve_interpolates_endpoints(gait):
     v0, _, _ = bezier_eval(gait.bezier, 0.0)
     v1, _, _ = bezier_eval(gait.bezier, 1.0)

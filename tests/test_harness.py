@@ -220,11 +220,12 @@ def test_identical_configs_reproduce_the_trace(default_cfg, one_step_log):
 
 def test_each_node_runs_the_control_pipeline_once(default_cfg, gait, params,
                                                    monkeypatch):
-    # every pipeline run evaluates the outputs once, so counting output_data
-    # in erg counts pipeline runs; the stance force reuses the pipeline's
-    # accelerations, so nothing in dynamics evaluates the SS model again
-    calls = {"output_data": 0, "rk4_step": 0, "ss_dynamics": 0, "solve_ddq": 0,
-             "_solve_ddq": 0}
+    # every pipeline run evaluates the outputs once and solves for ddq once,
+    # so the calls of output_data and _solve_ddq from erg count pipeline runs;
+    # the stance force reuses the pipeline's accelerations, so nothing in
+    # dynamics evaluates the SS model again
+    calls = {"output_data": 0, "_solve_ddq": 0, "rk4_step": 0, "ss_dynamics": 0,
+             "solve_ddq": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -232,17 +233,18 @@ def test_each_node_runs_the_control_pipeline_once(default_cfg, gait, params,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(erg, "output_data", counted("output_data", erg.output_data))
+    for name in ("output_data", "_solve_ddq"):
+        monkeypatch.setattr(erg, name, counted(name, getattr(erg, name)))
     monkeypatch.setattr(integrate, "rk4_step", counted("rk4_step", integrate.rk4_step))
-    for name in ("ss_dynamics", "solve_ddq", "_solve_ddq"):
+    for name in ("ss_dynamics", "solve_ddq"):
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
     log = run_walk(one_step_cfg(default_cfg))
     assert log.completed_steps == 1, log.aborted
-    assert calls["ss_dynamics"] == calls["solve_ddq"] == calls["_solve_ddq"] == 0
+    assert calls["ss_dynamics"] == calls["solve_ddq"] == 0
     # a logged node is sampled just before the next RK4 step's first stage
     # asks for the field there; only the event node of the one SS phase,
     # which no stage evaluates, adds a run
-    assert calls["output_data"] == 4 * calls["rk4_step"] + 1
+    assert calls["output_data"] == calls["_solve_ddq"] == 4 * calls["rk4_step"] + 1
 
     cols = [TRACE_COLUMNS.index(c)
             for c in ("q1", "q2", "q3", "dq1", "dq2", "dq3", "w1", "w2")]

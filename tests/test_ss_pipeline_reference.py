@@ -83,9 +83,13 @@ def reference():
 
 def test_reference_states_are_walk_nodes_and_seeded_draws(one_step_log, gait,
                                                           params, reference):
+    # the walk may move within the 1e-9 bound of the stored trace; the
+    # seeded draws do not depend on it
     assert reference.shape == (WALK_NODES + RANDOM_STATES, len(Z) + len(VALUES))
-    want = walk_states(one_step_log) + random_states(gait, params)
-    assert np.array_equal(reference[:, :len(Z)], np.array(want))
+    stored = reference[:, :len(Z)]
+    walk = np.array(walk_states(one_step_log))
+    assert np.max(np.abs(stored[:WALK_NODES] - walk)) <= 1e-9
+    assert np.array_equal(stored[WALK_NODES:], np.array(random_states(gait, params)))
 
 
 def test_pipeline_matches_the_stored_reference(gait, params, reference):
