@@ -7,13 +7,21 @@ brakes the torso toward the next step's initial rate while thrust presses the
 contact forces deep enough into the friction cone to make the braking torque
 admissible.
 
-Each sample linearizes once and solves one dense QP.  The thrust/torque
-columns are exact through one multi-RHS contact solve; one central-difference
-sweep over the state then gives both the dynamics model and the affine
+Each sample linearizes once and solves one dense QP, as in the real-time
+iteration scheme (Diehl, Bock & Schloeder 2005).  The thrust/torque columns
+are exact through one multi-RHS contact solve; one central-difference sweep
+over the state then gives both the dynamics model and the affine
 contact-force model, since every perturbed contact solve returns the
-accelerations and the forces together.  `ds_rhs` and `ds_affine_maps` run on
-Python floats from the state to the forces: they call the float cores of
-`dynamics` directly and build numpy arrays only for their results.
+accelerations and the forces together.  `ds_rhs`, `ds_affine_maps` and the
+sweep run on Python floats from the state to the forces: they call the float
+cores of `dynamics` directly and build numpy arrays only for their results.
+
+Consecutive samples end on nearly the same QP rows, so the controller hot
+starts each QP (as qpOASES does; Ferreau et al. 2014) from the previous
+sample's active rows, named by labels that do not depend on the row order.
+The QP's optimum is unique, so the warm start moves the inputs only by
+rounding; `qp` states the entering rule that keeps the active-set path from
+depending on the last bits of P.
 
 The condensing uses the horizon's structure: A and B are fixed, so every
 input block of the prediction matrix S[k] is a power A^i B.  The K products
@@ -25,6 +33,7 @@ as whole blocks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,6 +45,8 @@ from .qp import INFEASIBLE, OPTIMAL, QpSolution, solve_qp
 
 N_X = 10
 N_ETA = 3
+N_CONE = 6  # friction-cone and minimum-normal-force rows per node
+BOX, STATE, CONE = "box", "state", "cone"
 
 
 class DsForces(NamedTuple):
@@ -43,14 +54,13 @@ class DsForces(NamedTuple):
     lam: np.ndarray      # (4,) [lamT1, lamN1, lamT2, lamN2]
 
 
-def _ds_system(x_d: np.ndarray, params: ModelParams):
-    """The contact system at x_d, on Python floats.
+def _ds_system(vals: list[float], params: ModelParams):
+    """The contact system at the state ``vals``, on Python floats.
 
     Returns D's rows, J's leg entries, H, the thrust direction and the
     contact right-hand side -Jdot qdot - d J qdot, whose damping at rate
     `params.d` keeps long integrations on the contact manifold.
     """
-    vals = np.asarray(x_d, dtype=float).tolist()
     q = _finite("q_e", vals[:5])
     dq = _finite("dq_e", vals[5:])
     D, H, thrust = _ext_terms(q, dq, params)
@@ -75,11 +85,18 @@ def ds_rhs(x_d: np.ndarray, eta: np.ndarray, params: ModelParams) -> DsForces:
 
     One contact solve (see `_ds_system`) with the right-hand side B eta - H.
     """
-    D, legs, (h0, h1, h2, h3, h4), (tx, ty), con = _ds_system(x_d, params)
-    u2, u3, f = np.asarray(eta, dtype=float).tolist()
+    ddq, lam = _ds_forces(np.asarray(x_d, dtype=float).tolist(),
+                          np.asarray(eta, dtype=float).tolist(), params)
+    return DsForces(np.array(ddq), np.array(lam))
+
+
+def _ds_forces(x: list[float], eta: list[float], params: ModelParams):
+    """`ds_rhs` on Python floats: the (ddq, lam) tuples of one contact solve."""
+    D, legs, (h0, h1, h2, h3, h4), (tx, ty), con = _ds_system(x, params)
+    u2, u3, f = eta
     dyn = (-h0, u2 - h1, u3 - h2, tx * f - h3, ty * f - h4)
     ((ddq, lam),) = _contact_core(D, legs, [(dyn, con)])
-    return DsForces(np.array(ddq), np.array(lam))
+    return ddq, lam
 
 
 def ds_field(x_d: np.ndarray, eta: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -99,7 +116,8 @@ def ds_affine_maps(
     lam = lam0 + G_lam @ eta, from one contact solve with four right-hand
     sides: the free column and the three input columns of B.
     """
-    D, legs, H, (tx, ty), con = _ds_system(x_d, params)
+    D, legs, H, (tx, ty), con = _ds_system(
+        np.asarray(x_d, dtype=float).tolist(), params)
     zero = (0.0, 0.0, 0.0, 0.0)
     out = _contact_core(D, legs, [
         (tuple(-h for h in H), con),
@@ -107,9 +125,8 @@ def ds_affine_maps(
         ((0.0, 0.0, 1.0, 0.0, 0.0), zero),
         ((0.0, 0.0, 0.0, tx, ty), zero),
     ])
-    ddq = np.array([x for x, _ in out]).T
-    lam = np.array([lam for _, lam in out]).T
-    return ddq[:, 0], ddq[:, 1:], lam[:, 0], lam[:, 1:]
+    cols = np.array([x + lam for x, lam in out]).T
+    return cols[:5, 0], cols[:5, 1:], cols[5:, 0], cols[5:, 1:]
 
 
 class DsLinearization(NamedTuple):
@@ -131,33 +148,40 @@ def linearize_ds(
 
     The input columns are exact through one multi-RHS contact solve.  The
     state columns come from one central-difference sweep with relative step
-    1e-6: each perturbed contact solve fills a column of both the
-    acceleration and the force Jacobian.
+    1e-6, run on Python floats: each perturbed contact solve fills a column
+    of both the acceleration and the force Jacobian, and the arrays are built
+    once at the end.
     """
     x = np.asarray(x_d, dtype=float)
     eta = np.asarray(eta, dtype=float)
     _, G_ddq, lam_base, Le = ds_affine_maps(x, params)
-    f0 = ds_field(x, eta, params)
+    xs = x.tolist()
+    etas = eta.tolist()
+    ddq0, _ = _ds_forces(xs, etas, params)
 
-    J = np.empty((N_X, N_X))
-    Lx = np.empty((4, N_X))
-    for j in range(N_X):
-        h = 1e-6 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = ds_rhs(xp, eta, params)
-        fm = ds_rhs(xm, eta, params)
-        J[:5, j] = (xp[5:] - xm[5:]) / (2.0 * h)
-        J[5:, j] = (fp.ddq - fm.ddq) / (2.0 * h)
-        Lx[:, j] = (fp.lam - fm.lam) / (2.0 * h)
+    # per column j: the perturbed (dq, ddq, lam) at x + h e_j and x - h e_j
+    plus: list[float] = []
+    minus: list[float] = []
+    steps = []
+    for j, xj in enumerate(xs):
+        h = 1e-6 * max(1.0, abs(xj))
+        for out, xpm in ((plus, xj + h), (minus, xj - h)):
+            xs_j = xs.copy()
+            xs_j[j] = xpm
+            ddq, lam = _ds_forces(xs_j, etas, params)
+            out += xs_j[5:]
+            out += ddq
+            out += lam
+        steps.append(2.0 * h)
+    diff = (np.array(plus) - np.array(minus)).reshape(N_X, N_X + 4)
+    diff /= np.array(steps)[:, None]
 
-    A = np.eye(N_X) + T_s * J
+    A = np.eye(N_X) + T_s * diff[:, :N_X].T
     B = np.zeros((N_X, N_ETA))
     B[5:] = T_s * G_ddq
+    f0 = np.array(xs[5:] + list(ddq0))
     c = x + T_s * f0 - A @ x - B @ eta
-    return DsLinearization(A, B, c, lam_base + Le @ eta, Lx, Le)
+    return DsLinearization(A, B, c, lam_base + Le @ eta, diff[:, N_X:].T, Le)
 
 
 def reference_trajectory(x_d0: np.ndarray, x_target: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -203,6 +227,33 @@ class NmpcSolution:
     objective: float
     status: str
     qp_iterations: int = 0
+    # active rows at the optimum as (block, node, index); see `solve_nmpc`
+    active: list[tuple[str, int, int]] = field(default_factory=list)
+
+
+def _row_blocks(K: int):
+    """(block, first row, first node, rows per node) of the QP's row blocks."""
+    nz = N_ETA * K
+    return ((BOX, 0, 0, 2 * N_ETA), (STATE, 2 * nz, 1, 2 * N_X),
+            (CONE, 2 * nz + 2 * K * N_X, 0, N_CONE))
+
+
+def _label_row(label: tuple[str, int, int], K: int) -> int | None:
+    """The QP row of a (block, node, index) label; None if K has no such row."""
+    block, node, index = label
+    for name, start, first, per in _row_blocks(K):
+        if name == block and first <= node < first + K and 0 <= index < per:
+            return start + (node - first) * per + index
+    return None
+
+
+def _row_label(row: int, K: int) -> tuple[str, int, int]:
+    """The (block, node, index) label of a QP row."""
+    for name, start, first, per in reversed(_row_blocks(K)):
+        if row >= start:
+            node, index = divmod(row - start, per)
+            return name, first + node, index
+    raise ValueError("negative row index")
 
 
 def solve_nmpc(
@@ -210,6 +261,7 @@ def solve_nmpc(
     x_d1: np.ndarray,
     params: ModelParams,
     eta_base: np.ndarray | None = None,
+    active: Sequence[tuple[str, int, int]] = (),
 ) -> NmpcSolution:
     """Condense the linearized horizon into one dense QP and solve it.
 
@@ -219,6 +271,14 @@ def solve_nmpc(
     0..n_int-1; state boxes apply at nodes 1..n_int.  An infeasible or
     stalled QP returns zero input with the corresponding status; so does a
     violated row that no input can reach (status infeasible, 0 iterations).
+
+    Rows are labelled (block, node, index), independent of the row order:
+    block `BOX` is node k's upper then lower input bounds, `STATE` node k's
+    upper then lower state bounds and `CONE` node k's six force rows.  The
+    solution reports its active rows so; `active` passes labels the QP
+    starts its active set from (see `qp.solve_qp`).  Labels with no row in
+    this problem, or whose row the filter for input-free rows dropped, are
+    skipped.
     """
     x1 = np.asarray(x_d1, dtype=float)
     K = prob.n_int
@@ -243,9 +303,9 @@ def solve_nmpc(
     S = S.transpose(0, 2, 1, 3).reshape(K + 1, N_X, nz)
 
     # quadratic cost in z: state tracking over nodes 1..K, one batched
-    # contraction summed node by node.  One GEMM over the stacked S would
-    # round P differently, and where rows tie exactly (the thrust cap at two
-    # nodes) the dual active set's path depends on those last bits.
+    # contraction summed node by node, which keeps the bits of the per-node
+    # loop in `solve_nmpc_dense` (tests/oracles.py); one GEMM over the
+    # stacked S would round P differently
     Sw = S[1:] * prob.w_x[:, None]
     P = np.matmul(S[1:].transpose(0, 2, 1), Sw).sum(axis=0)
     err = (x_free[1:] - prob.r_d[1:])[:, :, None]
@@ -285,17 +345,21 @@ def solve_nmpc(
     Mlam[node, :, node, :] += Le
     Mlam = Mlam.reshape(K, 4, nz)
     lam_const = lam0 + _times(Lx, x_free[:K] - x1) - Le @ eta0
-    G = np.concatenate([box, state, (cone @ Mlam).reshape(6 * K, nz)])
+    G = np.concatenate([box, state, (cone @ Mlam).reshape(N_CONE * K, nz)])
     h = np.concatenate([box_rhs, state_rhs, (cone_rhs - _times(cone, lam_const)).ravel()])
 
     # early-horizon position boxes have zero sensitivity to the inputs; drop
     # trivially satisfied rows, and fail fast on unsatisfiable ones
-    live = np.linalg.norm(G, axis=1) > 1e-9
+    live = np.einsum("ij,ij->i", G, G) > 1e-18
     if np.any(~live & (h < -1e-9)):
         sol = QpSolution(np.zeros(nz), INFEASIBLE, 0)
     else:
-        keep = live & np.isfinite(h)
-        sol = solve_qp(P, qv, G[keep], h[keep])
+        kept = np.flatnonzero(live & np.isfinite(h))
+        start = []
+        if active:
+            pos = dict(zip(kept.tolist(), range(len(kept))))
+            start = [pos[r] for r in (_label_row(lab, K) for lab in active) if r in pos]
+        sol = solve_qp(P, qv, G[kept], h[kept], active=start)
     if sol.status != OPTIMAL:
         zero = np.zeros((K, N_ETA))
         return NmpcSolution(zero, x_free.copy(), _predict_forces(
@@ -310,7 +374,8 @@ def solve_nmpc(
     e = x_pred[1:] - prob.r_d[1:]
     de = np.diff(eta_seq, axis=0, prepend=np.zeros((1, N_ETA)))
     obj = float(np.sum(e * e * prob.w_x) + np.sum(de * de * prob.w_eta))
-    return NmpcSolution(eta_seq, x_pred, lam_pred, obj, OPTIMAL, sol.iterations)
+    return NmpcSolution(eta_seq, x_pred, lam_pred, obj, OPTIMAL, sol.iterations,
+                        [_row_label(int(kept[i]), K) for i in sol.active])
 
 
 def _times(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -330,7 +395,13 @@ class NmpcController:
 
     reset() pins the reference line and constraint boxes for one DS phase;
     __call__ solves the QP for the remaining horizon and applies the first
-    input.  The previous solution is kept as the linearization base.
+    input.  The previous solution is kept as the linearization base, and its
+    active rows as the QP's starting active set: each label both at its own
+    node and shifted one node back, since rows bind either at a fixed time
+    (they move one node closer each sample) or at a fixed distance from the
+    current state (the friction cone of the first few nodes, in the shipped
+    scenario).  The first sample of a phase, and the one after a failed
+    solve, start cold.
     """
 
     params: ModelParams
@@ -356,6 +427,7 @@ class NmpcController:
         self._x_lo: np.ndarray | None = None
         self._x_hi: np.ndarray | None = None
         self._prev: np.ndarray | None = None
+        self._active: list[tuple[str, int, int]] = []
         self.status_log: list[tuple[int, str, int, float]] = []
 
     def reset(self, x_d0: np.ndarray, x_target: np.ndarray) -> None:
@@ -368,6 +440,7 @@ class NmpcController:
                        rate, rate, rate, rate, rate])
         self._x_lo, self._x_hi = lo, hi
         self._prev = None
+        self._active = []
         self.status_log = []
 
     def __call__(self, sample: int, x_d: np.ndarray) -> np.ndarray:
@@ -393,13 +466,18 @@ class NmpcController:
         base = None
         if self._prev is not None and self._prev.shape[0] >= 2:
             base = self._prev[1]
-        solution = solve_nmpc(prob, x_d, self.params, eta_base=base)
+        shifted = [(block, node - 1, index) for block, node, index in self._active
+                   if node > 0]
+        warm = list(dict.fromkeys(self._active + shifted))
+        solution = solve_nmpc(prob, x_d, self.params, eta_base=base, active=warm)
         self.status_log.append(
             (sample, solution.status, solution.qp_iterations, solution.objective))
         if solution.status != OPTIMAL:
             self._prev = None
+            self._active = []
             return np.zeros(N_ETA)
         self._prev = solution.eta_seq
+        self._active = solution.active
         return solution.eta_seq[0].copy()
 
 

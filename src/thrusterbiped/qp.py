@@ -13,10 +13,27 @@ this project are small (tens of variables, hundreds of rows), so each step
 solves the small active-set system afresh instead of carrying rank-one
 updates of a factorization.  A P that is not positive definite raises
 ValueError.
+
+The entering row is the lowest-indexed one whose violation is within a
+relative TIE_RTOL of the largest.  Goldfarb-Idnani may enter any violated
+row, and the rule keeps rows that tie up to rounding (the thrust caps of two
+nodes) from letting the last bits of P choose the active-set path.  The
+ratio test for the row that leaves stays exact.
+
+A caller that expects the optimum's active set, such as a receding-horizon
+controller whose consecutive problems end on nearly the same rows, can pass
+it as `active`.  The solver then solves the equality-constrained problem on
+those rows, drops the row with the most negative multiplier until every
+multiplier is nonnegative, and continues from that dual-feasible point; a set
+with (nearly) dependent rows starts cold instead.  Any dual-feasible start
+leads to the same unique optimum and detects an infeasible problem as a
+cold start does; `iterations`, which `max_iter` bounds, counts only the
+active-set iterations after the start.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +41,7 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITER = "max_iter"
+TIE_RTOL = 1e-9  # violations within this fraction of the largest tie
 
 
 @dataclass
@@ -43,6 +61,7 @@ def solve_qp(
     max_iter: int | None = None,
     tol: float = 1e-10,
     feas_tol: float = 1e-9,
+    active: Sequence[int] | None = None,
 ) -> QpSolution:
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -60,32 +79,34 @@ def solve_qp(
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
     m = G.shape[0]
-    row_norm = np.linalg.norm(G, axis=1)
+    row_norm = np.sqrt(np.einsum("ij,ij->i", G, G))
     if np.any(row_norm < tol):
         raise ValueError("constraint row with (near) zero normal")
-    Gn = G / row_norm[:, None]
-    hn = h / row_norm
+
+    def normals(rows):
+        """Unit normals and right-hand sides of the given rows."""
+        return G[rows] / row_norm[rows, None], h[rows] / row_norm[rows]
 
     if max_iter is None:
         max_iter = 10 * (m + n) + 100
 
-    active: list[int] = []
-    u: list[float] = []  # duals of active rows, >= 0
+    active, u, z = _dual_feasible_start(active or [], normals, m, P_inv, z, tol)
     iters = 0
 
     while True:
-        slack = Gn @ z - hn
+        slack = (G @ z - h) / row_norm
         if active:
             slack[active] = -np.inf  # active rows are tight by construction
-        p = int(np.argmax(slack))
-        if slack[p] <= feas_tol:
+        worst = slack.max()
+        if worst <= feas_tol:
             duals = np.zeros(m)
             for idx, ui in zip(active, u):
                 duals[idx] = ui / row_norm[idx]
             return QpSolution(z, OPTIMAL, iters, list(active), duals)
+        p = int(np.argmax(slack >= worst - TIE_RTOL * worst))
 
-        a = -Gn[p]  # violated row as a 'greater-equal' normal
-        bp = -hn[p]
+        a = -G[p] / row_norm[p]  # violated row as a 'greater-equal' normal
+        bp = -h[p] / row_norm[p]
         u_p = 0.0
 
         while True:
@@ -95,7 +116,7 @@ def solve_qp(
 
             Pia = P_inv @ a
             if active:
-                N = Gn[active] * -1.0  # active normals, rows
+                N = -normals(active)[0]  # active normals, rows
                 PiNT = P_inv @ N.T
                 M = N @ PiNT
                 r = np.linalg.solve(M, N @ Pia)
@@ -139,3 +160,30 @@ def solve_qp(
                 u.pop(blocking)
                 continue
             return QpSolution(z, INFEASIBLE, iters, list(active), None)
+
+
+def _dual_feasible_start(rows, normals, m, P_inv, z, tol):
+    """(active, duals, z) of the equality-constrained QP on a subset of rows.
+
+    Starts from the distinct valid indices of ``rows`` and drops the row with
+    the most negative multiplier until all are nonnegative.  Rows whose
+    normals are (nearly) dependent, by the same test the main loop applies
+    before it adds a row, give the cold start ([], [], z).
+    """
+    rows = [i for i in dict.fromkeys(rows) if 0 <= i < m]
+    while rows:
+        N, b = normals(rows)
+        PiNT = P_inv @ N.T
+        M = N @ PiNT
+        try:
+            C = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            break
+        if np.min(np.diag(C)) ** 2 <= tol:
+            break
+        u = np.linalg.solve(M, N @ z - b)
+        k = int(np.argmin(u))
+        if u[k] >= 0.0:
+            return rows, u.tolist(), z - PiNT @ u
+        rows.pop(k)
+    return [], [], z

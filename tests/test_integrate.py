@@ -12,27 +12,23 @@ def test_exponential_decay_accuracy():
     assert res.event is None and res.abort_reason is None
 
 
-def test_oscillator_energy_drift():
-    # unit oscillator, one thousand periods at one thousand steps per period
-    T = 2.0 * np.pi
-    dt = T / 1000.0
+def test_oscillator_energy_decay_matches_the_closed_form():
+    # on z' = (z2, -z1) one RK4 step of size h is a rotation scaled by |R|,
+    # with |R|^2 = 1 - h^6/72 + h^8/576, so the energy after n steps is
+    # exactly 0.5 |R|^(2n); ten periods at twenty steps each lose ~2.6e-3 of it
+    h = 2.0 * np.pi / 20.0
+    n = 200
     x = np.array([1.0, 0.0])
 
     def field(t, z):
         return np.array([z[1], -z[0]])
 
-    t = 0.0
-    t_end = 1000.0 * T
-    worst = 0.0
-    n = int(round(t_end / dt))
-    check = n // 20
     for k in range(n):
-        x = rk4_step(field, t, x, dt)
-        t += dt
-        if k % check == 0 or k == n - 1:
-            E = 0.5 * (x[0] ** 2 + x[1] ** 2)
-            worst = max(worst, abs(E - 0.5))
-    assert worst / 0.5 < 1e-5
+        x = rk4_step(field, k * h, x, h)
+    energy = 0.5 * (x[0] ** 2 + x[1] ** 2)
+    exact = 0.5 * (1.0 - h**6 / 72.0 + h**8 / 576.0) ** n
+    assert 1.0 - exact / 0.5 > 2e-3
+    assert abs(energy - exact) < 1e-12 * exact
 
 
 def test_guard_event_at_analytic_root():

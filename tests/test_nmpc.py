@@ -7,6 +7,7 @@ from thrusterbiped.dynamics import contact_kinematics, contact_solve, ds_dynamic
 from thrusterbiped.errors import SingularContactError
 from thrusterbiped.gait import nominal_start_state
 from thrusterbiped.nmpc import (
+    N_ETA,
     NmpcController,
     NmpcProblem,
     ds_affine_maps,
@@ -17,7 +18,7 @@ from thrusterbiped.nmpc import (
     simulate_ds,
     solve_nmpc,
 )
-from thrusterbiped.qp import INFEASIBLE, OPTIMAL
+from thrusterbiped.qp import INFEASIBLE, OPTIMAL, solve_qp
 
 
 def ds_state(params, q1, q3, dq3=0.0):
@@ -264,18 +265,15 @@ def count_calls(monkeypatch, *names):
 def test_one_solve_makes_one_linearization(params, monkeypatch):
     # one multi-RHS input-map solve, one at the base point, and two per
     # state perturbation: 22 contact solves
-    counts = count_calls(monkeypatch, "ds_affine_maps", "ds_rhs")
+    counts = count_calls(monkeypatch, "ds_affine_maps", "_contact_core")
     x1 = ds_state(params, 0.1, 0.1, -1.0)
     assert solve_nmpc(small_problem(x1, 5), x1, params).status == OPTIMAL
-    assert counts == {"ds_affine_maps": 1, "ds_rhs": 21}
+    assert counts == {"ds_affine_maps": 1, "_contact_core": 22}
 
 
-def test_a_default_ds_phase_makes_a_fixed_number_of_contact_solves(
-        default_cfg, monkeypatch):
-    # per sample one linearization (1 input map + 21 ds_rhs), per RK4
-    # substep four stages (the first also gives the logged forces), and the
-    # final forces once
-    cfg = default_cfg
+def default_ds_phase(cfg):
+    """The controller `run_walk` builds from `cfg`, reset for one DS phase
+    from a fixed start state; returns the controller and that state."""
     params = cfg.model.to_params()
     gait = cfg.gait.to_gait()
     ctrl = NmpcController(
@@ -289,11 +287,84 @@ def test_a_default_ds_phase_makes_a_fixed_number_of_contact_solves(
     target = x0.copy()
     target[7] = -0.5
     ctrl.reset(x0, target)
-    counts = count_calls(monkeypatch, "ds_affine_maps", "ds_rhs")
-    trace, _ = simulate_ds(x0, ctrl, cfg.sim.ds_envelope, cfg.sim.dt_ds, params,
+    return ctrl, x0
+
+
+def test_a_default_ds_phase_makes_a_fixed_number_of_contact_solves(
+        default_cfg, monkeypatch):
+    # per sample one linearization (22 contact solves, one of them in the
+    # input map), per RK4 substep four stages (the first also gives the
+    # logged forces), and the final forces once
+    cfg = default_cfg
+    ctrl, x0 = default_ds_phase(cfg)
+    counts = count_calls(monkeypatch, "ds_affine_maps", "_contact_core")
+    trace, _ = simulate_ds(x0, ctrl, cfg.sim.ds_envelope, cfg.sim.dt_ds, ctrl.params,
                            T_s=cfg.nmpc.T_s)
     assert [entry[1] for entry in trace.statuses] == [OPTIMAL] * 20
-    assert counts == {"ds_affine_maps": 20, "ds_rhs": 20 * 21 + 200 * 4 + 1}
+    assert counts == {"ds_affine_maps": 20, "_contact_core": 20 * 22 + 200 * 4 + 1}
+
+
+def test_warm_started_samples_match_cold_solves(default_cfg, monkeypatch):
+    # every sample of the phase, re-solved cold from the same state and
+    # linearization base, gives the same inputs with fewer QP iterations
+    cfg = default_cfg
+    ctrl, x0 = default_ds_phase(cfg)
+    calls = []
+
+    def recording(prob, x, params, eta_base=None, active=()):
+        sol = solve_nmpc(prob, x, params, eta_base=eta_base, active=active)
+        calls.append((prob, x.copy(), eta_base, list(active), sol))
+        return sol
+
+    monkeypatch.setattr(nmpc, "solve_nmpc", recording)
+    simulate_ds(x0, ctrl, cfg.sim.ds_envelope, cfg.sim.dt_ds, ctrl.params,
+                T_s=cfg.nmpc.T_s)
+    assert len(calls) == 20
+    assert calls[0][3] == [] and all(call[3] for call in calls[1:])
+    warm_iters = cold_iters = 0
+    for prob, x, base, _, warm in calls:
+        cold = solve_nmpc(prob, x, ctrl.params, eta_base=base)
+        assert warm.status == cold.status == OPTIMAL
+        assert np.max(np.abs(warm.eta_seq - cold.eta_seq)) < 1e-10
+        warm_iters += warm.qp_iterations
+        cold_iters += cold.qp_iterations
+    assert warm_iters < cold_iters
+
+
+def test_row_labels_name_every_row_once():
+    for K in (1, 5, 20):
+        n_rows = 2 * N_ETA * K + 2 * 10 * K + 6 * K
+        labels = [nmpc._row_label(row, K) for row in range(n_rows)]
+        assert len(set(labels)) == n_rows
+        assert [nmpc._label_row(label, K) for label in labels] == list(range(n_rows))
+        assert {label[0] for label in labels} == {"box", "state", "cone"}
+        nodes = {block: sorted({node for b, node, _ in labels if b == block})
+                 for block in ("box", "state", "cone")}
+        assert nodes == {"box": list(range(K)), "state": list(range(1, K + 1)),
+                         "cone": list(range(K))}
+        for label in (("state", 0, 0), ("box", K, 0), ("cone", -1, 0),
+                      ("cone", 0, 6), ("box", 0, -1), ("thrust", 0, 0)):
+            assert nmpc._label_row(label, K) is None
+
+
+def test_inputs_reach_only_the_torso_rows(rng, params):
+    # with both feet pinned the inputs move only the torso: B is zero outside
+    # ddq3 (row 7), and every A^i B over the horizon is zero outside q3 and
+    # dq3 (rows 2 and 7), exactly
+    others = np.ones(10, dtype=bool)
+    others[[2, 7]] = False
+    for _ in range(50):
+        x = ds_state(params, rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5),
+                     rng.uniform(-3.0, 3.0))
+        x[3] += rng.uniform(-2.0, 2.0)  # anywhere along the ground
+        eta = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 40)])
+        A, B, *_ = linearize_ds(x, eta, 1e-3, params)
+        assert np.count_nonzero(B[:7]) == np.count_nonzero(B[8:]) == 0
+        Phi = B
+        for i in range(20):
+            assert np.count_nonzero(Phi[others]) == 0, i
+            assert Phi[7].any() and (i == 0 or Phi[2].any()), i
+            Phi = A @ Phi
 
 
 @pytest.mark.parametrize("name, index", [("q_e", 3), ("dq_e", 8)])
@@ -325,28 +396,64 @@ def assert_same_solution(got, ref):
         assert abs(got.objective - ref.objective) <= 1e-9 * abs(ref.objective)
 
 
+def controller_problem(rng, params, K):
+    """A random DS state and a horizon with the controller's weights and
+    boxes, so rate and angle rows can bind."""
+    x1 = ds_state(params, rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5),
+                  rng.uniform(-3.0, 3.0))
+    target = x1.copy()
+    target[7] = rng.uniform(-1.5, 0.5)
+    hip = x1[3:5]
+    prob = small_problem(
+        x1, K, r_d=reference_trajectory(x1, target, K + 1),
+        w_x=np.array([0, 10, 10, 0, 0, 1, 1, 10, 1, 1], dtype=float),
+        x_lo=np.concatenate([np.full(3, -1.2), hip - 1.0, np.full(5, -10.0)]),
+        x_hi=np.concatenate([np.full(3, 1.2), hip + 1.0, np.full(5, 10.0)]))
+    return prob, x1
+
+
 @pytest.mark.parametrize("K", [1, 5, 20])
 @pytest.mark.parametrize("with_base", [False, True])
 def test_condensing_matches_the_dense_oracle(rng, params, K, with_base):
-    # the controller's weights and boxes, so rate and angle rows can bind
     for _ in range(8):
-        x1 = ds_state(params, rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5),
-                      rng.uniform(-3.0, 3.0))
-        target = x1.copy()
-        target[7] = rng.uniform(-1.5, 0.5)
+        prob, x1 = controller_problem(rng, params, K)
         base = None
         if with_base:
             base = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3),
                              rng.uniform(0, 40)])
-        hip = x1[3:5]
-        prob = small_problem(
-            x1, K, r_d=reference_trajectory(x1, target, K + 1),
-            w_x=np.array([0, 10, 10, 0, 0, 1, 1, 10, 1, 1], dtype=float),
-            x_lo=np.concatenate([np.full(3, -1.2), hip - 1.0, np.full(5, -10.0)]),
-            x_hi=np.concatenate([np.full(3, 1.2), hip + 1.0, np.full(5, 10.0)]))
         got = solve_nmpc(prob, x1, params, eta_base=base)
         assert got.status == OPTIMAL
         assert_same_solution(got, oracles.solve_nmpc_dense(prob, x1, params, base))
+
+
+def test_one_ulp_of_p_keeps_the_qp_path(rng, params, monkeypatch):
+    # twin rows (the thrust cap at two nodes) tie up to rounding, and the
+    # entering row is the lowest index among near-ties, so a symmetric 1-ulp
+    # change of P keeps the active set and the iteration count.  A row that
+    # ends active with a zero multiplier enters or not by the feasibility
+    # tolerance, not by the entering rule; such problems are left out
+    qps = []
+
+    def recording(P, q, G, h, **kwargs):
+        qps.append((P, q, G, h))
+        return solve_qp(P, q, G, h, **kwargs)
+
+    monkeypatch.setattr(nmpc, "solve_qp", recording)
+    for _ in range(40):
+        prob, x1 = controller_problem(rng, params, 20)
+        solve_nmpc(prob, x1, params)
+    checked = 0
+    for P, q, G, h in qps:
+        ref = solve_qp(P, q, G, h)
+        assert ref.status == OPTIMAL
+        if np.min(ref.duals[ref.active], initial=1.0) <= 1e-12:
+            continue
+        checked += 1
+        for way in (np.inf, -np.inf):
+            sol = solve_qp(np.nextafter(P, way), q, G, h)
+            assert sorted(sol.active) == sorted(ref.active)
+            assert sol.iterations == ref.iterations
+    assert checked >= 35, checked
 
 
 @pytest.mark.parametrize("K", [1, 5, 20])
@@ -396,17 +503,23 @@ def test_controller_applies_zero_input_after_a_failed_solve(params):
     ctrl.reset(x0, target)
     assert np.array_equal(ctrl(0, x0), np.zeros(3))
     assert ctrl.status_log[0][:2] == (0, INFEASIBLE)
-    assert ctrl._prev is None
+    assert ctrl._prev is None and ctrl._active == []
 
-    # a failed solve also drops the kept solution of an earlier good one
+    # a failed solve also drops the kept solution and active rows of an
+    # earlier good one, and so does reset()
     ctrl.eps_normal = 0.1
     ctrl(1, x0)
     assert ctrl.status_log[1][1] == OPTIMAL
-    assert ctrl._prev is not None
+    assert ctrl._prev is not None and ctrl._active
     ctrl.eps_normal = 1e4
     assert np.array_equal(ctrl(2, x0), np.zeros(3))
     assert ctrl.status_log[2][:2] == (2, INFEASIBLE)
-    assert ctrl._prev is None
+    assert ctrl._prev is None and ctrl._active == []
+    ctrl.eps_normal = 0.1
+    ctrl(3, x0)
+    assert ctrl._active
+    ctrl.reset(x0, target)
+    assert ctrl._prev is None and ctrl._active == []
 
 
 def test_solution_respects_all_declared_constraints(params):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from thrusterbiped.qp import INFEASIBLE, OPTIMAL, solve_qp
+from thrusterbiped.qp import INFEASIBLE, MAX_ITER, OPTIMAL, solve_qp
 
 
 def random_spd(rng, n):
@@ -113,3 +113,79 @@ def test_tight_feasible_set_still_solves(rng):
         assert np.allclose(sol.z, -h, atol=1e-9)
         res = oracles.kkt_residuals(P, q, G, h, sol.z, sol.duals)
         assert res["stationarity"] < 1e-9
+
+
+def starting_sets(rng, m, optimum):
+    """Random, redundant and wrong starting active sets for an m-row QP."""
+    others = [i for i in range(m) if i not in optimum]
+    return [
+        [int(i) for i in rng.permutation(m)[:rng.integers(1, m + 1)]],
+        list(range(m)),
+        optimum + optimum + [m, -1],
+        optimum[::-1],
+        others,
+    ]
+
+
+def test_warm_starts_reach_the_cold_optimum(rng):
+    for trial in range(300):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, 21))
+        P = random_spd(rng, n)
+        q = rng.standard_normal(n) * 2.0
+        G = rng.standard_normal((m, n))
+        h = G @ rng.standard_normal(n) + rng.uniform(0.0, 1.0, m)
+        cold = solve_qp(P, q, G, h)
+        assert cold.status == OPTIMAL
+        for start in starting_sets(rng, m, cold.active):
+            sol = solve_qp(P, q, G, h, active=start)
+            assert sol.status == OPTIMAL, (trial, start)
+            assert np.max(np.abs(sol.z - cold.z)) < 1e-9, (trial, start)
+            res = oracles.kkt_residuals(P, q, G, h, sol.z, sol.duals)
+            assert res["stationarity"] < 1e-7
+            assert res["primal"] < 1e-8
+            assert res["dual"] == 0.0
+            assert res["complementarity"] < 1e-6
+
+
+def test_warm_starts_match_the_enumeration_oracle(rng):
+    for trial in range(100):
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(1, 7))
+        P = random_spd(rng, n)
+        q = rng.standard_normal(n) * 2.0
+        G = rng.standard_normal((m, n))
+        h = G @ (rng.standard_normal(n) * 0.5) + rng.uniform(0.1, 1.0, m)
+        z_ref = oracles.qp_brute_force(P, q, G, h)
+        cold = solve_qp(P, q, G, h)
+        for start in starting_sets(rng, m, cold.active):
+            sol = solve_qp(P, q, G, h, active=start)
+            assert sol.status == OPTIMAL
+            assert np.max(np.abs(sol.z - cold.z)) < 1e-9, (trial, start)
+            assert np.max(np.abs(sol.z - z_ref)) < 1e-7, (trial, start)
+
+
+def test_the_optimal_active_set_needs_no_iteration(rng):
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, 21))
+        P = random_spd(rng, n)
+        q = rng.standard_normal(n) * 2.0
+        G = rng.standard_normal((m, n))
+        h = G @ rng.standard_normal(n) + rng.uniform(0.0, 1.0, m)
+        cold = solve_qp(P, q, G, h)
+        hot = solve_qp(P, q, G, h, active=cold.active, max_iter=0)
+        assert (hot.status, hot.iterations) == (OPTIMAL, 0)
+        assert sorted(hot.active) == sorted(cold.active)
+        assert np.max(np.abs(hot.z - cold.z)) < 1e-9
+        if cold.iterations:
+            stalled = solve_qp(P, q, G, h, active=[], max_iter=0)
+            assert stalled.status == MAX_ITER
+
+
+def test_warm_started_infeasible_pair_is_still_detected():
+    G = np.array([[1.0], [-1.0]])
+    h = np.array([-1.0, -1.0])
+    for start in ([0], [1], [0, 1], [1, 1, 0]):
+        sol = solve_qp(np.eye(1), np.zeros(1), G, h, active=start)
+        assert sol.status == INFEASIBLE, start
