@@ -8,13 +8,17 @@ contact forces deep enough into the friction cone to make the braking torque
 admissible.
 
 Each sample linearizes once and solves one dense QP, as in the real-time
-iteration scheme (Diehl, Bock & Schloeder 2005).  The thrust/torque columns
-are exact through one multi-RHS contact solve; one central-difference sweep
-over the state then gives both the dynamics model and the affine
+iteration scheme (Diehl, Bock & Schloeder 2005).  One central-difference
+sweep over the state gives both the dynamics model and the affine
 contact-force model, since every perturbed contact solve returns the
-accelerations and the forces together.  `ds_rhs`, `ds_affine_maps` and the
-sweep run on Python floats from the state to the forces: they call the float
-cores of `dynamics` directly and build numpy arrays only for their results.
+accelerations and the forces together.  The mass matrix, J's leg block and
+the thrust direction depend on the positions only, so one multi-RHS contact
+solve at the base point gives the exact thrust/torque columns and every
+velocity-perturbed column; only the q1..q3 perturbations solve on their own,
+and the hip-position columns are exactly zero.  `ds_rhs`, the sweep and the
+RK4 substeps of `simulate_ds` run on Python floats from the state to the
+forces: they call the float cores of `dynamics` directly and build numpy
+arrays only for their results.
 
 Consecutive samples end on nearly the same QP rows, so the controller hot
 starts each QP (as qpOASES does; Ferreau et al. 2014) from the previous
@@ -92,41 +96,15 @@ def ds_rhs(x_d: np.ndarray, eta: np.ndarray, params: ModelParams) -> DsForces:
 
 def _ds_forces(x: list[float], eta: list[float], params: ModelParams):
     """`ds_rhs` on Python floats: the (ddq, lam) tuples of one contact solve."""
-    D, legs, (h0, h1, h2, h3, h4), (tx, ty), con = _ds_system(x, params)
-    u2, u3, f = eta
-    dyn = (-h0, u2 - h1, u3 - h2, tx * f - h3, ty * f - h4)
-    ((ddq, lam),) = _contact_core(D, legs, [(dyn, con)])
+    D, legs, H, thrust, con = _ds_system(x, params)
+    ((ddq, lam),) = _contact_core(D, legs, [(_input_rhs(H, thrust, eta), con)])
     return ddq, lam
 
 
-def ds_field(x_d: np.ndarray, eta: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Reduced first-order form of ds_rhs (forces eliminated)."""
-    out = np.empty(N_X)
-    out[:5] = x_d[5:]
-    out[5:] = ds_rhs(x_d, eta, params).ddq
-    return out
-
-
-def ds_affine_maps(
-    x_d: np.ndarray, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact input maps at fixed state: ddq and lam are affine in eta.
-
-    Returns (ddq0, G_ddq, lam0, G_lam) with ddq = ddq0 + G_ddq @ eta and
-    lam = lam0 + G_lam @ eta, from one contact solve with four right-hand
-    sides: the free column and the three input columns of B.
-    """
-    D, legs, H, (tx, ty), con = _ds_system(
-        np.asarray(x_d, dtype=float).tolist(), params)
-    zero = (0.0, 0.0, 0.0, 0.0)
-    out = _contact_core(D, legs, [
-        (tuple(-h for h in H), con),
-        ((0.0, 1.0, 0.0, 0.0, 0.0), zero),
-        ((0.0, 0.0, 1.0, 0.0, 0.0), zero),
-        ((0.0, 0.0, 0.0, tx, ty), zero),
-    ])
-    cols = np.array([x + lam for x, lam in out]).T
-    return cols[:5, 0], cols[:5, 1:], cols[5:, 0], cols[5:, 1:]
+def _input_rhs(H, thrust, eta):
+    """The dynamics right-hand side B eta - H on Python floats."""
+    (h0, h1, h2, h3, h4), (tx, ty), (u2, u3, f) = H, thrust, eta
+    return (-h0, u2 - h1, u3 - h2, tx * f - h3, ty * f - h4)
 
 
 class DsLinearization(NamedTuple):
@@ -146,35 +124,56 @@ def linearize_ds(
 ) -> DsLinearization:
     """Forward-Euler discretized dynamics and affine contact forces at (x_d, eta).
 
-    The input columns are exact through one multi-RHS contact solve.  The
-    state columns come from one central-difference sweep with relative step
-    1e-6, run on Python floats: each perturbed contact solve fills a column
-    of both the acceleration and the force Jacobian, and the arrays are built
-    once at the end.
+    The state columns come from one central-difference sweep with relative
+    step 1e-6, run on Python floats: each perturbed contact solve fills a
+    column of both the acceleration and the force Jacobian, and the arrays
+    are built once at the end.  D, J's leg block and the thrust direction
+    depend on the positions only, so one multi-RHS contact solve at the base
+    point serves the free column, the three exact input columns, the base
+    point at ``eta`` and all ten velocity-perturbed columns, each with its own
+    H and contact right-hand side.  Nothing in the pinned model depends on
+    where the hip sits, so the hip-position columns (q4, q5) are exactly zero
+    and are not solved; q1, q2 and q3 take a solve per side.  That is seven
+    contact solves in all.
     """
     x = np.asarray(x_d, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    _, G_ddq, lam_base, Le = ds_affine_maps(x, params)
     xs = x.tolist()
     etas = eta.tolist()
-    ddq0, _ = _ds_forces(xs, etas, params)
+    D, legs, H, thrust, con = _ds_system(xs, params)
+    tx, ty = thrust
 
-    # per column j: the perturbed (dq, ddq, lam) at x + h e_j and x - h e_j
-    plus: list[float] = []
-    minus: list[float] = []
-    steps = []
-    for j, xj in enumerate(xs):
-        h = 1e-6 * max(1.0, abs(xj))
-        for out, xpm in ((plus, xj + h), (minus, xj - h)):
-            xs_j = xs.copy()
-            xs_j[j] = xpm
-            ddq, lam = _ds_forces(xs_j, etas, params)
-            out += xs_j[5:]
-            out += ddq
-            out += lam
+    # x moved by +h and by -h along each swept entry; the hip-position
+    # entries 3 and 4 enter neither D, J, H nor the contact right-hand side
+    swept = (0, 1, 2, 5, 6, 7, 8, 9)
+    moved, steps = [], []
+    for j in swept:
+        h = 1e-6 * max(1.0, abs(xs[j]))
+        moved += [xs[:j] + [xj] + xs[j + 1:] for xj in (xs[j] + h, xs[j] - h)]
         steps.append(2.0 * h)
-    diff = (np.array(plus) - np.array(minus)).reshape(N_X, N_X + 4)
-    diff /= np.array(steps)[:, None]
+
+    zero = (0.0, 0.0, 0.0, 0.0)
+    cols = [
+        (tuple(-h for h in H), con),
+        ((0.0, 1.0, 0.0, 0.0, 0.0), zero),
+        ((0.0, 0.0, 1.0, 0.0, 0.0), zero),
+        ((0.0, 0.0, 0.0, tx, ty), zero),
+        (_input_rhs(H, thrust, etas), con),
+    ]
+    for xs_j in moved[6:]:  # the velocity-moved states
+        _, _, H_j, _, con_j = _ds_system(xs_j, params)
+        cols.append((_input_rhs(H_j, thrust, etas), con_j))
+    out = _contact_core(D, legs, cols)
+    maps = np.array([ddq + lam for ddq, lam in out[:4]]).T
+    G_ddq, lam_base, Le = maps[:5, 1:], maps[5:, 0], maps[5:, 1:]
+    ddq0 = out[4][0]
+    solved = [_ds_forces(xs_j, etas, params) for xs_j in moved[:6]] + out[5:]
+
+    # row j: d(dq, ddq, lam)/dx_j
+    diff = np.zeros((N_X, N_X + 4))
+    rows = [[*xs_j[5:], *ddq, *lam] for xs_j, (ddq, lam) in zip(moved, solved)]
+    for j, plus, minus, step in zip(swept, rows[::2], rows[1::2], steps):
+        diff[j] = [(a - b) / step for a, b in zip(plus, minus)]
 
     A = np.eye(N_X) + T_s * diff[:, :N_X].T
     B = np.zeros((N_X, N_ETA))
@@ -504,9 +503,16 @@ def simulate_ds(
     substeps of size dt run in between.  Contact forces are recorded at every
     substep node; a nonpositive normal force flags the trace but does not
     stop it (the fixed envelope is the exit condition).
+
+    The substeps run on Python floats: the state is a list of 10 floats, each
+    RK4 stage is one contact solve, and every stage and update is formed in
+    the order the array expressions x + (h/2) k and
+    x + (h/6) (k1 + 2 k2 + 2 k3 + k4) round in, so the result does not depend
+    on which form computes it.  The controller gets an array of the state
+    once per sample, and the trace's arrays are built once at the end.
     """
-    x = np.asarray(x_d0, dtype=float).copy()
     if T_env <= 0.0:
+        x = np.asarray(x_d0, dtype=float).copy()
         lam = ds_rhs(x, np.zeros(N_ETA), params).lam
         trace = DsTrace(np.array([0.0]), x[None, :].copy(), lam[None, :],
                         np.zeros((1, N_ETA)), bool(np.any(lam[[1, 3]] <= 0.0)), [])
@@ -515,43 +521,47 @@ def simulate_ds(
     n_samples = max(1, int(round(T_env / T_s)))
     n_sub = max(1, int(round(T_s / dt)))
     h = T_env / (n_samples * n_sub)
+    half, sixth = 0.5 * h, h / 6.0
 
+    def stage(x, step, k, eta):
+        """The RK4 slope at x + step * k."""
+        xk = [a + step * b for a, b in zip(x, k)]
+        return xk[5:] + list(_ds_forces(xk, eta, params)[0])
+
+    x = np.asarray(x_d0, dtype=float).tolist()
     ts = [0.0]
-    xs = [x.copy()]
+    xs = [x]
     lams = []
     etas = []
     violated = False
     t = 0.0
     for j in range(n_samples):
-        eta = np.asarray(controller(j, x), dtype=float)
-
-        def f(xx, eta=eta):
-            return ds_field(xx, eta, params)
-
+        eta = np.asarray(controller(j, np.array(x)), dtype=float).tolist()
         for _ in range(n_sub):
             # the logged forces' solve also gives the first RK4 stage
-            forces = ds_rhs(x, eta, params)
-            lams.append(forces.lam.copy())
-            etas.append(eta.copy())
-            if forces.lam[1] <= 0.0 or forces.lam[3] <= 0.0:
+            ddq, lam = _ds_forces(x, eta, params)
+            lams.append(lam)
+            etas.append(eta)
+            if lam[1] <= 0.0 or lam[3] <= 0.0:
                 violated = True
 
-            k1 = np.concatenate([x[5:], forces.ddq])
-            k2 = f(x + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h * k2)
-            k4 = f(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = x[5:] + list(ddq)
+            k2 = stage(x, half, k1, eta)
+            k3 = stage(x, half, k2, eta)
+            k4 = stage(x, h, k3, eta)
+            x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
             t += h
             ts.append(t)
-            xs.append(x.copy())
+            xs.append(x)
 
-    final_forces = ds_rhs(x, etas[-1], params)
-    lams.append(final_forces.lam.copy())
-    etas.append(etas[-1].copy())
-    if final_forces.lam[1] <= 0.0 or final_forces.lam[3] <= 0.0:
+    lam = ds_rhs(x, etas[-1], params).lam.tolist()
+    lams.append(lam)
+    etas.append(etas[-1])
+    if lam[1] <= 0.0 or lam[3] <= 0.0:
         violated = True
 
     statuses = list(getattr(controller, "status_log", []))
     trace = DsTrace(np.array(ts), np.array(xs), np.array(lams), np.array(etas),
                     violated, statuses)
-    return trace, x.copy()
+    return trace, np.array(x)

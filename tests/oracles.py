@@ -231,7 +231,7 @@ def linearize_ds_two_sweeps(x_d, eta, T_s, params):
     Jacobian from a second sweep over `ds_rhs(...).lam`; each sweep takes its
     exact input map from its own `ds_affine_maps` call.
     """
-    from thrusterbiped.nmpc import ds_affine_maps, ds_field, ds_rhs
+    from thrusterbiped.nmpc import ds_rhs
 
     x = np.asarray(x_d, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -252,6 +252,103 @@ def linearize_ds_two_sweeps(x_d, eta, T_s, params):
         Lx[:, j] = (ds_rhs(xp, eta, params).lam
                     - ds_rhs(xm, eta, params).lam) / (2.0 * h)
     return A, B, c, lam_base + Le @ eta, Lx, Le
+
+
+# ---------------------------------------------------------------------------
+# double support on arrays: the package's former array forms
+
+
+def ds_field(x_d, eta, params):
+    """Reduced first-order form of `ds_rhs` (forces eliminated)."""
+    from thrusterbiped.nmpc import ds_rhs
+
+    out = np.empty(10)
+    out[:5] = x_d[5:]
+    out[5:] = ds_rhs(x_d, eta, params).ddq
+    return out
+
+
+def ds_affine_maps(x_d, params):
+    """Exact input maps at fixed state: ddq and lam are affine in eta.
+
+    Returns (ddq0, G_ddq, lam0, G_lam) with ddq = ddq0 + G_ddq @ eta and
+    lam = lam0 + G_lam @ eta, from one contact solve with four right-hand
+    sides: the free column and the three input columns of B.
+    """
+    from thrusterbiped.dynamics import _contact_core
+    from thrusterbiped.nmpc import _ds_system
+
+    D, legs, H, (tx, ty), con = _ds_system(
+        np.asarray(x_d, dtype=float).tolist(), params)
+    zero = (0.0, 0.0, 0.0, 0.0)
+    out = _contact_core(D, legs, [
+        (tuple(-h for h in H), con),
+        ((0.0, 1.0, 0.0, 0.0, 0.0), zero),
+        ((0.0, 0.0, 1.0, 0.0, 0.0), zero),
+        ((0.0, 0.0, 0.0, tx, ty), zero),
+    ])
+    cols = np.array([x + lam for x, lam in out]).T
+    return cols[:5, 0], cols[:5, 1:], cols[5:, 0], cols[5:, 1:]
+
+
+def simulate_ds_arrays(x_d0, controller, T_env, dt, params, T_s=1e-3):
+    """The package's former `simulate_ds`: RK4 substeps on numpy arrays.
+
+    Kept as the reference for the substep loop on Python floats, which must
+    give the same trace bit for bit.
+    """
+    from thrusterbiped.nmpc import N_ETA, DsTrace, ds_rhs
+
+    x = np.asarray(x_d0, dtype=float).copy()
+    if T_env <= 0.0:
+        lam = ds_rhs(x, np.zeros(N_ETA), params).lam
+        trace = DsTrace(np.array([0.0]), x[None, :].copy(), lam[None, :],
+                        np.zeros((1, N_ETA)), bool(np.any(lam[[1, 3]] <= 0.0)), [])
+        return trace, x.copy()
+
+    n_samples = max(1, int(round(T_env / T_s)))
+    n_sub = max(1, int(round(T_s / dt)))
+    h = T_env / (n_samples * n_sub)
+
+    ts = [0.0]
+    xs = [x.copy()]
+    lams = []
+    etas = []
+    violated = False
+    t = 0.0
+    for j in range(n_samples):
+        eta = np.asarray(controller(j, x), dtype=float)
+
+        def f(xx, eta=eta):
+            return ds_field(xx, eta, params)
+
+        for _ in range(n_sub):
+            # the logged forces' solve also gives the first RK4 stage
+            forces = ds_rhs(x, eta, params)
+            lams.append(forces.lam.copy())
+            etas.append(eta.copy())
+            if forces.lam[1] <= 0.0 or forces.lam[3] <= 0.0:
+                violated = True
+
+            k1 = np.concatenate([x[5:], forces.ddq])
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            ts.append(t)
+            xs.append(x.copy())
+
+    final_forces = ds_rhs(x, etas[-1], params)
+    lams.append(final_forces.lam.copy())
+    etas.append(etas[-1].copy())
+    if final_forces.lam[1] <= 0.0 or final_forces.lam[3] <= 0.0:
+        violated = True
+
+    statuses = list(getattr(controller, "status_log", []))
+    trace = DsTrace(np.array(ts), np.array(xs), np.array(lams), np.array(etas),
+                    violated, statuses)
+    return trace, x.copy()
 
 
 # ---------------------------------------------------------------------------

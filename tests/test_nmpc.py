@@ -10,8 +10,6 @@ from thrusterbiped.nmpc import (
     N_ETA,
     NmpcController,
     NmpcProblem,
-    ds_affine_maps,
-    ds_field,
     ds_rhs,
     linearize_ds,
     reference_trajectory,
@@ -85,7 +83,7 @@ def test_float_paths_match_the_array_wrappers(rng, params):
         ddq_cols, lam_cols = contact_solve(
             terms.D, ck.J, np.column_stack([-terms.H, terms.B]),
             np.column_stack([rhs_con, np.zeros((4, 3))]))
-        got = ds_affine_maps(x, params)
+        got = oracles.ds_affine_maps(x, params)
         want = (ddq_cols[:, 0], ddq_cols[:, 1:], lam_cols[:, 0], lam_cols[:, 1:])
         for a, b in zip(got, want):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
@@ -100,7 +98,9 @@ def test_ds_rhs_rejects_collinear_legs(params, q2):
     with pytest.raises(SingularContactError):
         ds_rhs(x, np.zeros(3), params)
     with pytest.raises(SingularContactError):
-        ds_affine_maps(x, params)
+        oracles.ds_affine_maps(x, params)
+    with pytest.raises(SingularContactError):
+        linearize_ds(x, np.zeros(3), 1e-3, params)
 
 
 def test_ds_states_stay_clear_of_the_collinear_guard(rng, params):
@@ -124,7 +124,7 @@ def test_ds_rhs_keeps_the_feet_pinned(rng, params):
 
 def test_input_to_force_map_is_exact(rng, params):
     x = ds_state(params, 0.12, 0.3, -2.0)
-    ddq0, G_ddq, lam0, G_lam = ds_affine_maps(x, params)
+    ddq0, G_ddq, lam0, G_lam = oracles.ds_affine_maps(x, params)
     for _ in range(20):
         eta = rng.uniform(-5.0, 5.0, 3)
         forces = ds_rhs(x, eta, params)
@@ -162,10 +162,10 @@ def test_prediction_error_is_second_order_in_the_step(params):
         n = 64
         h = T / n
         for _ in range(n):
-            k1 = ds_field(xx, eta, params)
-            k2 = ds_field(xx + 0.5 * h * k1, eta, params)
-            k3 = ds_field(xx + 0.5 * h * k2, eta, params)
-            k4 = ds_field(xx + h * k3, eta, params)
+            k1 = oracles.ds_field(xx, eta, params)
+            k2 = oracles.ds_field(xx + 0.5 * h * k1, eta, params)
+            k3 = oracles.ds_field(xx + 0.5 * h * k2, eta, params)
+            k4 = oracles.ds_field(xx + h * k3, eta, params)
             xx = xx + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return xx
 
@@ -189,6 +189,22 @@ def test_linearization_matches_the_two_sweep_reference(rng, params):
         ref = oracles.linearize_ds_two_sweeps(x, eta, 1e-3, params)
         for name, a, b in zip(got._fields, got, ref):
             assert np.array_equal(a, b), name
+
+
+def test_hip_position_columns_are_exactly_zero(rng, params):
+    # nothing in the pinned model depends on where the hip sits, so the
+    # reference, which solves the q4 and q5 columns, finds them exactly zero
+    # in A - I and Lx, and `linearize_ds`, which skips them, agrees
+    for _ in range(100):
+        x = ds_state(params, rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5))
+        x[3:5] += rng.uniform(-2.0, 2.0, 2)  # anywhere on a shifted ground
+        x[5:] = rng.uniform(-3.0, 3.0, 5)
+        eta = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 40)])
+        for lin in (linearize_ds(x, eta, 1e-3, params),
+                    oracles.linearize_ds_two_sweeps(x, eta, 1e-3, params)):
+            A, _, _, _, Lx, _ = lin
+            assert np.count_nonzero((A - np.eye(10))[:, 3:5]) == 0
+            assert np.count_nonzero(Lx[:, 3:5]) == 0
 
 
 def test_reference_line_endpoints_and_midpoint():
@@ -263,12 +279,13 @@ def count_calls(monkeypatch, *names):
 
 
 def test_one_solve_makes_one_linearization(params, monkeypatch):
-    # one multi-RHS input-map solve, one at the base point, and two per
-    # state perturbation: 22 contact solves
-    counts = count_calls(monkeypatch, "ds_affine_maps", "_contact_core")
+    # one multi-RHS solve at the base point (input maps, base point and the
+    # ten velocity perturbations), and two per perturbed q1, q2 and q3: the
+    # hip-position columns are not solved, so 7 contact solves
+    counts = count_calls(monkeypatch, "_contact_core")
     x1 = ds_state(params, 0.1, 0.1, -1.0)
     assert solve_nmpc(small_problem(x1, 5), x1, params).status == OPTIMAL
-    assert counts == {"ds_affine_maps": 1, "_contact_core": 22}
+    assert counts == {"_contact_core": 7}
 
 
 def default_ds_phase(cfg):
@@ -292,16 +309,16 @@ def default_ds_phase(cfg):
 
 def test_a_default_ds_phase_makes_a_fixed_number_of_contact_solves(
         default_cfg, monkeypatch):
-    # per sample one linearization (22 contact solves, one of them in the
-    # input map), per RK4 substep four stages (the first also gives the
-    # logged forces), and the final forces once
+    # per sample one linearization (7 contact solves), per RK4 substep four
+    # stages (the first also gives the logged forces), and the final forces
+    # once
     cfg = default_cfg
     ctrl, x0 = default_ds_phase(cfg)
-    counts = count_calls(monkeypatch, "ds_affine_maps", "_contact_core")
+    counts = count_calls(monkeypatch, "_contact_core")
     trace, _ = simulate_ds(x0, ctrl, cfg.sim.ds_envelope, cfg.sim.dt_ds, ctrl.params,
                            T_s=cfg.nmpc.T_s)
     assert [entry[1] for entry in trace.statuses] == [OPTIMAL] * 20
-    assert counts == {"ds_affine_maps": 20, "_contact_core": 20 * 22 + 200 * 4 + 1}
+    assert counts == {"_contact_core": 20 * 7 + 200 * 4 + 1}
 
 
 def test_warm_started_samples_match_cold_solves(default_cfg, monkeypatch):
@@ -376,7 +393,8 @@ def test_float_paths_reject_non_finite_states(params, name, index):
             ds_dynamics(x[:5], x[5:], params)
         assert str(want.value) == f"{name} contains non-finite entries"
         for call in (lambda: ds_rhs(x, np.zeros(3), params),
-                     lambda: ds_affine_maps(x, params)):
+                     lambda: oracles.ds_affine_maps(x, params),
+                     lambda: linearize_ds(x, np.zeros(3), 1e-3, params)):
             with pytest.raises(ValueError) as got:
                 call()
             assert str(got.value) == str(want.value)
@@ -717,3 +735,96 @@ def test_fast_torso_spin_flags_a_contact_violation(params, gait):
         assert trace.t.shape == (81,)
         assert trace.contact_violation is violated
         assert bool(np.min(trace.lam[:, [1, 3]]) < 0.0) is violated
+
+
+def assert_same_phase(got, ref):
+    (trace, x_df), (trace_ref, x_ref) = got, ref
+    for name in ("t", "x", "lam", "eta"):
+        assert np.array_equal(getattr(trace, name), getattr(trace_ref, name),
+                              equal_nan=True), name
+    assert np.array_equal(x_df, x_ref, equal_nan=True)
+    assert trace.statuses == trace_ref.statuses
+    assert trace.contact_violation is trace_ref.contact_violation
+
+
+def zero_input(j, x):
+    return np.zeros(3)
+
+
+@pytest.mark.parametrize("phase", ["nmpc", "zero input", "fast spin"])
+def test_float_substeps_match_the_array_loop(default_cfg, gait, phase):
+    cfg = default_cfg
+    params = cfg.model.to_params()
+    if phase == "nmpc":
+        runs = []
+        for sim in (simulate_ds, oracles.simulate_ds_arrays):
+            ctrl, x0 = default_ds_phase(cfg)
+            runs.append(sim(x0, ctrl, cfg.sim.ds_envelope, cfg.sim.dt_ds,
+                            params, T_s=cfg.nmpc.T_s))
+        assert [entry[1] for entry in runs[0][0].statuses] == [OPTIMAL] * 20
+    else:
+        if phase == "zero input":
+            x0 = ds_state(params, 0.1, 0.1, -1.0)
+        else:  # the violating phase of the fast-spin test
+            x_s = nominal_start_state(gait)
+            x0 = ds_state(params, x_s[0], x_s[2], 10.0)
+        runs = [sim(x0, zero_input, 0.02, 2.5e-4, params)
+                for sim in (simulate_ds, oracles.simulate_ds_arrays)]
+        assert runs[0][0].t.shape == (81,)
+        assert runs[0][0].contact_violation is (phase == "fast spin")
+    assert_same_phase(*runs)
+
+
+@pytest.mark.parametrize("index, name", [(3, "q_e"), (8, "dq_e")])
+def test_a_non_finite_start_fails_like_the_array_loop(params, index, name):
+    for bad in (np.nan, np.inf):
+        x0 = ds_state(params, 0.1, 0.1, -1.0)
+        x0[index] = bad
+        messages = []
+        for sim in (simulate_ds, oracles.simulate_ds_arrays):
+            with pytest.raises(ValueError) as err:
+                sim(x0, zero_input, 0.02, 2.5e-4, params)
+            messages.append(str(err.value))
+        assert messages == [f"{name} contains non-finite entries"] * 2
+
+
+def nan_once_run(sim, params, monkeypatch, bad_call, bad):
+    """A zero-input phase whose `bad_call`-th force solve returns NaN
+    accelerations (bad="ddq") or NaN forces (bad="lam"); returns the phase,
+    or the exception it raised."""
+    real = nmpc._ds_forces
+    calls = []
+
+    def patched(x, eta, params):
+        ddq, lam = real(x, eta, params)
+        calls.append(None)
+        if len(calls) - 1 == bad_call:
+            nan = float("nan")
+            ddq, lam = ((nan,) * 5, lam) if bad == "ddq" else (ddq, (nan,) * 4)
+        return ddq, lam
+
+    x0 = ds_state(params, 0.1, 0.1, -1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(nmpc, "_ds_forces", patched)
+        try:
+            return sim(x0, zero_input, 0.02, 2.5e-4, params)
+        except Exception as exc:  # compared by type and message
+            return exc
+
+
+# NaN accelerations in the first, second and last stage of a substep, and in
+# the last stage of the phase (80 substeps of 4 solves), make the state
+# non-finite; NaN logged forces at the second node leave it finite
+@pytest.mark.parametrize("bad_call, bad", [
+    (0, "ddq"), (5, "ddq"), (7, "ddq"), (319, "ddq"), (4, "lam")])
+def test_a_state_turned_non_finite_fails_like_the_array_loop(
+        params, monkeypatch, bad_call, bad):
+    got, ref = (nan_once_run(sim, params, monkeypatch, bad_call, bad)
+                for sim in (simulate_ds, oracles.simulate_ds_arrays))
+    if bad == "ddq":
+        assert type(got) is type(ref) is ValueError
+        assert str(got) == str(ref) == "dq_e contains non-finite entries"
+    else:
+        assert np.isnan(got[0].lam[1]).all()
+        assert not got[0].contact_violation
+        assert_same_phase(got, ref)
