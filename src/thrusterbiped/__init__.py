@@ -13,7 +13,6 @@ from .dynamics import (
     ContactKinematics,
     DynTerms,
     contact_kinematics,
-    ds_dynamics,
     energies,
     ext_dynamics,
     ss_contact_force,
@@ -63,7 +62,6 @@ __all__ = [
     "contact_kinematics",
     "default_scenario",
     "design_gait",
-    "ds_dynamics",
     "energies",
     "ext_dynamics",
     "impact_map",

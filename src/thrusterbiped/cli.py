@@ -98,9 +98,15 @@ def _parse_levels(text: str) -> list[float]:
     return levels
 
 
-def _sweep_level(cfg: ScenarioConfig, level: float, out_root: str):
+def _level_config(cfg: ScenarioConfig, level: float) -> ScenarioConfig:
+    """``cfg`` with both torque caps at ``level``, checked like a loaded config."""
     sub = copy.deepcopy(cfg)
     sub.gait.u_max = [level, level]
+    sub.validate()
+    return sub
+
+
+def _sweep_level(sub: ScenarioConfig, level: float, out_root: str):
     out_dir = os.path.join(out_root, _sweep_dir(level))
     log = run_walk(sub)
     write_logs(log, out_dir, sub)
@@ -123,9 +129,11 @@ def cmd_sweep(args) -> int:
     levels = _parse_levels(args.u_max)
     cfg = load_config(args.config, apply_env=not args.no_env) if args.config \
         else default_scenario()
+    # every level is checked before the first one runs
+    subs = [_level_config(cfg, lv) for lv in levels]
     out_root = args.output_dir or os.path.join(cfg.io.output_dir, "sweep")
     os.makedirs(out_root, exist_ok=True)
-    results = [_sweep_level(cfg, lv, out_root) for lv in levels]
+    results = [_sweep_level(sub, lv, out_root) for sub, lv in zip(subs, levels)]
 
     cols = ["u_max", "completed_steps", "aborted", "max_abs_u",
             "max_tracking_error", "out_dir"]

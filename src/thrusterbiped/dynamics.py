@@ -18,16 +18,16 @@ All terms below are hand-derived from the point-mass Jacobians
 the finite-difference oracles in the test suite gate them.  They are
 evaluated on Python floats, with no LAPACK call.
 
-In single support, `_solve_ddq` (the closed-form 3x3 solve behind
-`solve_ddq`), `_ss_contact_force` and the hip and swing-foot positions take
-and return Python floats, so the controller and the walk log use them
-without building arrays.  The unpinned model has a float core: `_ext_terms`
-(D, H and the thrust direction), `_contact_terms` (foot positions, J's leg
-entries and J's velocity-product term) and `_contact_core` (the contact
-solve) take and return Python floats, so the double-support right-hand side
-in `nmpc` runs from state to forces without building an array.
-`ext_dynamics`, `ds_dynamics`, `contact_kinematics` and `contact_solve` are
-array wrappers around those cores.
+In single support, `solve_ddq` (the closed-form 3x3 solve),
+`ss_contact_force` and `hip_velocity_pinned` take and return Python floats,
+so the controller and the walk log use them without building arrays.  The
+unpinned model has a float core: `_ext_terms` (D, H and the thrust
+direction), `_contact_terms` (foot positions, J's leg entries and J's
+velocity-product term) and `_contact_core` (the contact solve) take and
+return Python floats, so the double-support right-hand side in `nmpc` runs
+from state to forces without building an array.  `ext_dynamics`,
+`contact_kinematics` and `contact_solve` are array wrappers around those
+cores for the impact map.
 
 The two-foot contact solve (`contact_solve`, behind double support and the
 impact map) relies on the structure of the contact Jacobian: no foot moves
@@ -215,24 +215,6 @@ def ext_dynamics(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> DynT
     return DynTerms(np.array(D), np.array(H), _B_EXT)
 
 
-def ds_dynamics(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> DynTerms:
-    """Double-support terms with input eta = [u2, u3, F_th].
-
-    Positive thrust presses from the torso tip toward the ground along the
-    torso-link axis.  Applied at the torso mass point it exerts no moment on
-    the joint coordinates and acts on the hip-translation rows only.
-    """
-    D, H, (tx, ty) = _ext_terms(*_ext_state(q_e, dq_e), params)
-    B = np.array([
-        [0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, tx],
-        [0.0, 0.0, ty],
-    ])
-    return DynTerms(np.array(D), np.array(H), B)
-
-
 def _contact_terms(q_e: list[float], dq_e: list[float], params: ModelParams):
     """Foot positions, J's leg entries and J's velocity-product term.
 
@@ -314,10 +296,13 @@ def energies(
     return K, float(V)
 
 
-def _solve_ddq(D, cols) -> list[tuple[float, float, float]]:
-    """D x = f for each column f of ``cols``, D given as three rows of floats.
+def solve_ddq(D, cols) -> list[tuple[float, float, float]]:
+    """Solve D x = f for each column f of ``cols`` (triples of floats).
 
-    Closed form D^-1 = adj(D) / det(D); see `solve_ddq`.
+    D is the 3x3 single-support mass matrix as three rows of Python floats.
+    Closed form: D^-1 = adj(D) / det(D).  A determinant that is not positive
+    (D is symmetric positive definite for valid parameters) or a non-finite
+    result raises SingularDynamicsError.
     """
     (a, b, c), (d, e, f), (g, h, i) = D
     # adjugate = transposed cofactor matrix
@@ -339,45 +324,12 @@ def _solve_ddq(D, cols) -> list[tuple[float, float, float]]:
     return out
 
 
-def solve_ddq(terms: DynTerms, force: np.ndarray) -> np.ndarray:
-    """Solve D ddq = force for the 3x3 single-support mass matrix.
-
-    Closed form: D^-1 = adj(D) / det(D), evaluated on Python floats.  ``force``
-    is a vector (3,) or a block of right-hand-side columns (3, k); the result
-    has the same shape.  A determinant that is not positive (D is symmetric
-    positive definite for valid parameters) or a non-finite result raises
-    SingularDynamicsError.
-    """
-    rhs = np.asarray(force, dtype=float)
-    cols = [rhs.tolist()] if rhs.ndim == 1 else rhs.T.tolist()
-    out = _solve_ddq(terms.D.tolist(), cols)
-    if rhs.ndim == 1:
-        return np.array(out[0])
-    return np.array(out).T
-
-
-def pinned_vector_field(x_s: np.ndarray, u: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Single-support state derivative for x_s = [q, dq] under torque u."""
-    x_s = np.asarray(x_s, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x_s.shape != (6,):
-        raise ValueError("x_s must have shape (6,)")
-    _finite_floats("x_s", x_s)
-    _finite_floats("u", u)
-    q, dq = x_s[:3], x_s[3:]
-    terms = ss_dynamics(q, dq, params)
-    ddq = solve_ddq(terms, terms.B @ u - terms.H)
-    out = np.empty(6)
-    out[:3] = dq
-    out[3:] = ddq
-    return out
-
-
 def _hip_position(q1: float, l: float) -> tuple[float, float]:
     return -l * sin(q1), l * cos(q1)
 
 
-def _hip_velocity(q1: float, dq1: float, l: float) -> tuple[float, float]:
+def hip_velocity_pinned(q1: float, dq1: float, l: float) -> tuple[float, float]:
+    """Hip velocity with the stance foot at rest, for leg length l."""
     return -l * cos(q1) * dq1, -l * sin(q1) * dq1
 
 
@@ -389,10 +341,6 @@ def _swing_foot(q1: float, q2: float, l: float) -> tuple[float, float]:
 def hip_position_pinned(q: np.ndarray, params: ModelParams) -> np.ndarray:
     """Hip position with the stance foot at the origin."""
     return np.array(_hip_position(q[0], params.l))
-
-
-def hip_velocity_pinned(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> np.ndarray:
-    return np.array(_hip_velocity(q[0], dq[0], params.l))
 
 
 def swing_foot_pinned(q: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -410,7 +358,7 @@ def extend_pinned_state(
     q_e[:3] = q
     dq_e[:3] = dq
     q_e[3:] = stance + hip_position_pinned(q, params)
-    dq_e[3:] = hip_velocity_pinned(q, dq, params)
+    dq_e[3:] = hip_velocity_pinned(q[0], dq[0], params.l)
     return q_e, dq_e
 
 
@@ -503,8 +451,19 @@ def contact_solve(
     return np.array([x for x, _ in out]).T, np.array([lam for _, lam in out]).T
 
 
-def _ss_contact_force(q, dq, ddq, params: ModelParams) -> tuple[float, float]:
-    """`ss_contact_force` on three triples of Python floats."""
+def ss_contact_force(q, dq, ddq, params: ModelParams) -> tuple[float, float]:
+    """Stance-foot reaction (lam_T, lam_N) for pinned joint accelerations ddq.
+
+    q, dq and ddq are triples of Python floats.  The pinned model never
+    produces this force itself, but the friction cone still has to hold for
+    the pin to be physical.  Gravity and the reaction are the only external
+    forces in single support, so Newton's law on the centre of mass gives
+    it: lam = M a_com + (0, M g).  With the link angles
+    phi = (q1, q1 + q2, q1 + q2 + q3) and e(phi) = (-sin phi, cos phi), the
+    mass moment is M p_com = sum_k c_k e(phi_k), so M a_com is the sum of
+    c_k (e'(phi_k) ddphi_k + e''(phi_k) dphi_k^2).  ddq is taken as given:
+    the single-support controller passes the accelerations it integrates.
+    """
     q1, q2, q3 = q
     dq1, dq2, dq3 = dq
     a1, a2, a3 = ddq
@@ -520,22 +479,3 @@ def _ss_contact_force(q, dq, ddq, params: ModelParams) -> tuple[float, float]:
         lamT += ck * (s * rate * rate - c * acc)
         lamN -= ck * (s * acc + c * rate * rate)
     return lamT, lamN
-
-
-def ss_contact_force(
-    q: np.ndarray, dq: np.ndarray, ddq: np.ndarray, params: ModelParams
-) -> np.ndarray:
-    """Stance-foot reaction (lam_T, lam_N) for pinned joint accelerations ddq.
-
-    The pinned model never produces this force itself, but the friction cone
-    still has to hold for the pin to be physical.  Gravity and the reaction
-    are the only external forces in single support, so Newton's law on the
-    centre of mass gives it: lam = M a_com + (0, M g).  With the link angles
-    phi = (q1, q1 + q2, q1 + q2 + q3) and e(phi) = (-sin phi, cos phi), the
-    mass moment is M p_com = sum_k c_k e(phi_k), so M a_com is the sum of
-    c_k (e'(phi_k) ddphi_k + e''(phi_k) dphi_k^2).  ddq is taken as given:
-    the single-support controller passes the accelerations it integrates.
-    """
-    return np.array(_ss_contact_force(
-        np.asarray(q, dtype=float).tolist(), np.asarray(dq, dtype=float).tolist(),
-        np.asarray(ddq, dtype=float).tolist(), params))

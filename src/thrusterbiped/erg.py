@@ -5,61 +5,49 @@ w is not dh_d/dt directly but a governed copy of it.  The governor moves w
 toward dh_d/dt only as fast as an invariant-set bound allows, which keeps the
 commanded torque inside its box without ever clipping the closed-loop law.
 
-Each layer (`pd_accel`, `partitioned_torque`, `constraint_data`,
-`lyapunov_value`, `gamma_bound`, `governor_rate`) is an array wrapper around a
-private core on Python floats.  `SsController` chains the cores: a field call
+Each layer is one function on Python floats: `pd_accel`, `partitioned_torque`,
+`constraint_data` (the torque rows of the constraint set), `lyapunov_value`,
+`gamma_bound` and `governor_rate`.  `SsController` chains them: a field call
 builds the arrays of `ss_dynamics` and `output_data` and the returned
-8-vector, and nothing in between.  Gamma comes from the constraint rows'
-structure, `_box_gamma`, not from 12x4 matrices.  V keeps numpy's fused
-multiply-add dot products and the governor keeps `np.tanh`, so the controller
-returns the same bits as the composed public functions.
+8-vector, and nothing in between.  `gamma_bound` reads the constraint rows
+from their structure, not from 12x4 matrices.  V keeps numpy's fused
+multiply-add dot products and the governor keeps `np.tanh`; both hold the
+controller to the bits stored in ``tests/data/ss_pipeline_reference.csv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DynTerms, _finite, _solve_ddq, ss_dynamics
+from .dynamics import _finite, solve_ddq, ss_dynamics
 from .errors import SingularDynamicsError
-from .gait import GaitParams, OutputData, _check_decoupling, output_data
+from .gait import GaitParams, decoupling_or_raise, output_data
 from .params import ModelParams
 
 GAMMA_CAP = 1e6
 
 
-class ConstraintData(NamedTuple):
-    """Affine rows C(x_a, x_w) = C_x x_a + C_w x_w + C_limit >= 0.
+def pd_accel(y, dq_a, w, gains) -> list[float]:
+    """Outer-loop commanded acceleration v = Kp y + Kd (dq_a - w).
 
-    Rows 0-7 bound the augmented tracking state x_a = (q_a, dq_a) by x_max;
-    rows 8-11 are the exact torque box |u| <= u_max rewritten through the
-    closed-loop input map.
+    ``gains`` is (kp2, kp3, kd2, kd3), a gait's `pd_gains`.
     """
-
-    C_x: np.ndarray      # (12, 4)
-    C_w: np.ndarray      # (12, 4)
-    C_limit: np.ndarray  # (12,)
-    P: np.ndarray        # (4, 4) ellipsoid metric for the level-set bound
-
-
-def _pd_accel(y, dq_a, w, gains) -> list[float]:
     kp2, kp3, kd2, kd3 = gains
     return [kp2 * y[0] + kd2 * (dq_a[0] - w[0]),
             kp3 * y[1] + kd3 * (dq_a[1] - w[1])]
 
 
-def pd_accel(y: np.ndarray, dq_a: np.ndarray, w: np.ndarray, gait: GaitParams) -> np.ndarray:
-    """Outer-loop commanded acceleration v = Kp y + Kd (dq_a - w)."""
-    return np.array(_pd_accel(np.asarray(y, dtype=float).tolist(),
-                              np.asarray(dq_a, dtype=float).tolist(),
-                              np.asarray(w, dtype=float).tolist(), gait.pd_gains))
+def partitioned_torque(D, H, e2: float, e3: float) -> list[float]:
+    """Torque from the unactuated/actuated partition of the dynamics.
 
-
-def _partitioned_torque(D, H, e2: float, e3: float) -> list[float]:
-    """`partitioned_torque` for D's rows and H as floats, e = dw_a - v."""
+    D is three rows and H three floats of `ss_dynamics`, and (e2, e3) is
+    dw_a - v.  Solving the q1 row for ddq1 and substituting back gives
+    u = beta1 (dw_a - v) + beta2 with the Schur complement beta1 and drift
+    beta2; the closed loop then satisfies ddq_a = dw_a - v exactly.
+    """
     (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = D
     h1, h2, h3 = H
     if abs(d11) < 1e-12:
@@ -72,39 +60,21 @@ def _partitioned_torque(D, H, e2: float, e3: float) -> list[float]:
     return [u2, u3]
 
 
-def partitioned_torque(
-    x_s: np.ndarray,
-    dw_a: np.ndarray,
-    v: np.ndarray,
-    params: ModelParams,
-    terms: DynTerms | None = None,
-) -> np.ndarray:
-    """Torque from the unactuated/actuated partition of the dynamics.
+def constraint_data(W, Lf2h, gait: GaitParams):
+    """Torque rows k2, k3 of the constraint set and the four torque-row limits.
 
-    Solving the q1 row for ddq1 and substituting back gives
-    u = beta1 (dw_a - v) + beta2 with the Schur complement beta1 and drift
-    beta2; the closed loop then satisfies ddq_a = dw_a - v exactly.
+    The constraint set is C_x x_a + C_w x_w + C_limit >= 0 in the tracking
+    state x_a = (q_a, dq_a) and the reference x_w = (h_d, w).  Its first
+    eight rows are the state box |x_a| <= x_max.  The last four are the
+    exact torque box |u| <= u_max: with the decoupling matrix W = LgLfh,
+    u = -W^-1 (Lf2h + Kp (q_a - h_d) + Kd (dq_a - w)), so k2, k3 are the
+    rows of [W^-1 Kp, W^-1 Kd], the C_x rows are (k2, k3, -k2, -k3), the
+    C_w rows their negatives and the limits u_max +- W^-1 Lf2h.
+
+    W (rows) and Lf2h are Python floats; W^-1 comes from the 2x2 adjugate
+    over the determinant that the decoupling check bounds away from zero.
     """
-    if terms is None:
-        x_s = np.asarray(x_s, dtype=float)
-        terms = ss_dynamics(x_s[:3], x_s[3:], params)
-    return np.array(_partitioned_torque(terms.D.tolist(), terms.H.tolist(),
-                                        *np.subtract(dw_a, v).tolist()))
-
-
-# state box rows of C_x: x_max - x_a >= 0, then x_a + x_max >= 0
-_STATE_ROWS = np.vstack([-np.eye(4), np.eye(4)]).tolist()
-_ZERO_ROWS = np.zeros((8, 4)).tolist()
-
-
-def _torque_rows(W, Lf2h, gait: GaitParams):
-    """Rows k2, k3 of [W^-1 Kp, W^-1 Kd] and the four torque-row limits.
-
-    W = LgLfh (rows) and Lf2h are Python floats; W^-1 comes from the 2x2
-    adjugate over the determinant that the decoupling check bounds away
-    from zero.
-    """
-    _check_decoupling(W)
+    decoupling_or_raise(W)
     (a, b), (c, d) = W
     det = a * d - b * c
     i00, i01, i10, i11 = d / det, -b / det, -c / det, a / det
@@ -118,35 +88,12 @@ def _torque_rows(W, Lf2h, gait: GaitParams):
     return k2, k3, [u2 + wi_l2, u3 + wi_l3, u2 - wi_l2, u3 - wi_l3]
 
 
-def constraint_data(od: OutputData, gait: GaitParams) -> ConstraintData:
-    """Torque and state box as affine rows in (x_a, x_w), x_w = (h_d, w).
-
-    The torque box is exact: u = -W^-1 (Lf2h + Kp(q_a - h_d) + Kd(dq_a - w))
-    with the decoupling matrix W = LgLfh, so k2, k3 are the rows of
-    [W^-1 Kp, W^-1 Kd].
-    """
-    k2, k3, torque_limits = _torque_rows(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
-    n2 = [-v for v in k2]
-    n3 = [-v for v in k3]
-    C_x = np.array(_STATE_ROWS + [k2, k3, n2, n3])
-    C_w = np.array(_ZERO_ROWS + [n2, n3, k2, k3])
-    C_limit = np.array(gait.state_limits + torque_limits)
-    return ConstraintData(C_x, C_w, C_limit, gait.tracking_metric)
-
-
-def reference_point(od: OutputData, w: np.ndarray) -> np.ndarray:
-    return np.concatenate([od.h_d, w])
-
-
-def _lyapunov(e: list, P: np.ndarray) -> float:
+def lyapunov_value(e, P: np.ndarray) -> float:
+    """V = e' P e for the tracking error e = x_a - x_w, four floats."""
     # numpy's matvec and dot accumulate with fused multiply-adds, which
     # Python floats cannot reproduce; V stays bit-identical on numpy
     e = np.array(e)
     return float(e @ P @ e)
-
-
-def lyapunov_value(x_a: np.ndarray, x_w: np.ndarray, P: np.ndarray) -> float:
-    return _lyapunov(np.subtract(x_a, x_w).tolist(), P)
 
 
 def _gamma_rows(r, den, lim) -> float:
@@ -167,45 +114,31 @@ def _gamma_rows(r, den, lim) -> float:
     return best
 
 
-def gamma_bound(x_w: np.ndarray, cdata: ConstraintData) -> float:
-    """Largest level of (x_a-x_w)' P (x_a-x_w) inscribed in the constraint set.
-
-    Per row: Gamma_i = r_i^2 / (C_x,i P^-1 C_x,i') with r_i the row value at
-    x_a = x_w.  Rows that do not involve x_a, or whose limit is infinite, do
-    not bind; a reference already on or past a boundary gives zero.
-    """
-    r = cdata.C_x @ x_w + cdata.C_w @ x_w + cdata.C_limit
-    p = (1.0 / cdata.P.diagonal()).tolist()
-    den = [_metric_norm(row, p) for row in cdata.C_x.tolist()]
-    return _gamma_rows(r.tolist(), den, cdata.C_limit.tolist())
-
-
 def _metric_norm(c, p) -> float:
     """C_x,i P^-1 C_x,i' for a row c of four and p = diag(P^-1).
 
-    The one summation order of every Gamma denominator, so `gamma_bound` and
-    the controller's `_box_gamma` agree bit for bit under any BLAS.  It is the
-    order in which OpenBLAS's matvec sums a row of four, so both also equal
-    numpy's ``C_x**2 @ diag(P^-1)`` under the OpenBLAS build that
-    ``tests/data/ss_pipeline_reference.csv`` was written with.
+    It sums in the order in which OpenBLAS's matvec sums a row of four, so
+    Gamma equals numpy's ``C_x**2 @ diag(P^-1)`` form under the OpenBLAS
+    build that ``tests/data/ss_pipeline_reference.csv`` was written with.
     """
     c0, c1, c2, c3 = c
     p0, p1, p2, p3 = p
     return (c0 * c0 * p0 + c2 * c2 * p2) + (c1 * c1 * p1 + c3 * c3 * p3)
 
 
-def _box_gamma(x_w: list, k2: list, k3: list, torque_limits: list,
-               gait: GaitParams) -> float:
-    """`gamma_bound` of the `constraint_data` rows, on Python floats.
+def gamma_bound(x_w: list, k2: list, k3: list, torque_limits: list,
+                gait: GaitParams) -> float:
+    """Largest level of (x_a-x_w)' P (x_a-x_w) inscribed in the constraint set.
 
-    Row by row, each value is the one `gamma_bound` forms from the 12x4
-    blocks:
+    Per row: Gamma_i = r_i^2 / (C_x,i P^-1 C_x,i') with r_i the row value at
+    x_a = x_w.  Rows that do not involve x_a, or whose limit is infinite, do
+    not bind; a reference already on or past a boundary gives zero.  The
+    rows are those of `constraint_data`, taken from their structure rather
+    than from 12x4 matrices:
     - a state row has one unit entry, so r_i = x_max -+ x_w,j and the
       denominator is the j-th entry of diag(P^-1);
     - a torque row has C_w,i = -C_x,i, so its x_a and x_w parts cancel
-      exactly at x_a = x_w and r_i is its limit;
-    - a torque row's denominator is `_metric_norm` of its k, the function
-      `gamma_bound` sums every row with.
+      exactly at x_a = x_w and r_i is its limit.
     """
     p = gait.metric_inverse
     lim = gait.state_limits + torque_limits
@@ -216,25 +149,12 @@ def _box_gamma(x_w: list, k2: list, k3: list, torque_limits: list,
     return _gamma_rows(r, den, lim)
 
 
-def _governor_rate(w, target, margin: float, kappa: float, rate_cap: float,
-                   sign_eps: float) -> list[float]:
+def governor_rate(w, target, margin: float, kappa: float, rate_cap: float,
+                  sign_eps: float) -> list[float]:
+    """dw: capped speed toward the target, scaled by the safety margin."""
     amp = min(kappa * max(margin, 0.0), rate_cap)
     # np.tanh, not math.tanh: the two differ in the last bit
     return [float(amp * np.tanh((ti - wi) / sign_eps)) for wi, ti in zip(w, target)]
-
-
-def governor_rate(
-    w: np.ndarray,
-    target: np.ndarray,
-    margin: float,
-    kappa: float,
-    rate_cap: float,
-    sign_eps: float,
-) -> np.ndarray:
-    """dw: capped speed toward the target, scaled by the safety margin."""
-    return np.array(_governor_rate(np.asarray(w, dtype=float).tolist(),
-                                   np.asarray(target, dtype=float).tolist(),
-                                   margin, kappa, rate_cap, sign_eps))
 
 
 @dataclass
@@ -307,22 +227,22 @@ class SsController:
         terms = ss_dynamics(z[:3], z[3:6], self.params)
         od = output_data(z[:6], gait, self.params, terms=terms)
         D, H = terms.D.tolist(), terms.H.tolist()
-        k2, k3, torque_limits = _torque_rows(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
+        k2, k3, torque_limits = constraint_data(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
         x_w = od.h_d.tolist() + w
-        V = _lyapunov([zl[1] - x_w[0], zl[2] - x_w[1], zl[4] - x_w[2], zl[5] - x_w[3]],
-                      gait.tracking_metric)
-        Gamma = _box_gamma(x_w, k2, k3, torque_limits, gait)
+        V = lyapunov_value([zl[1] - x_w[0], zl[2] - x_w[1], zl[4] - x_w[2], zl[5] - x_w[3]],
+                           gait.tracking_metric)
+        Gamma = gamma_bound(x_w, k2, k3, torque_limits, gait)
         if self.governor_enabled:
-            dw = _governor_rate(w, od.dh_d_dt.tolist(), Gamma - V, self.kappa,
-                                self.rate_cap, self.sign_eps)
+            dw = governor_rate(w, od.dh_d_dt.tolist(), Gamma - V, self.kappa,
+                               self.rate_cap, self.sign_eps)
         else:
             dw = [0.0, 0.0]
-        v = _pd_accel(od.y.tolist(), zl[4:6], w, gait.pd_gains)
-        u_raw = _partitioned_torque(D, H, dw[0] - v[0], dw[1] - v[1])
+        v = pd_accel(od.y.tolist(), zl[4:6], w, gait.pd_gains)
+        u_raw = partitioned_torque(D, H, dw[0] - v[0], dw[1] - v[1])
         u = [min(max(ui, -cap), cap) for ui, cap in zip(u_raw, gait.torque_caps)]
         u2, u3 = u
         # D ddq = B u - H
-        (ddq,) = _solve_ddq(D, [[b2 * u2 + b3 * u3 - h
+        (ddq,) = solve_ddq(D, [[b2 * u2 + b3 * u3 - h
                                  for (b2, b3), h in zip(terms.B.tolist(), H)]])
         result = zl[3:6] + list(ddq) + dw, od, V, Gamma, u, u_raw
         self._last = (key, result)

@@ -7,21 +7,21 @@ tracking gains, and the actuation/state limits used by the reference
 governor.
 
 `output_data` runs on Python floats: the Bezier rows by de Casteljau with
-unrolled levels, the drift and input columns by the dynamics' closed-form
-solve `_solve_ddq`, and the decoupling check by `_check_decoupling`, which the
-single-support controller calls directly.  A gait keeps its gains, diag(P^-1)
-and limits as floats for that controller.
+unrolled levels, and the drift and input columns by the dynamics'
+closed-form solve `solve_ddq`.  The single-support controller checks the
+decoupling matrix with `decoupling_or_raise` on its rows as floats.  A gait
+keeps its gains, diag(P^-1) and limits as floats for that controller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import asin, cos, sin, sqrt
+from math import asin, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DynTerms, _solve_ddq, ss_dynamics
+from .dynamics import DynTerms, solve_ddq, ss_dynamics
 from .errors import DecouplingSingularityError, GaitDesignError
 from .params import ModelParams
 
@@ -60,6 +60,10 @@ class GaitParams:
         self.x_max = np.asarray(self.x_max, dtype=float)
         if np.any(self.kp <= 0.0) or np.any(self.kd <= 0.0):
             raise ValueError("gains must be positive")
+        # NaN fails the comparison too; +inf leaves a state bound open
+        for name, lim in (("u_max", self.u_max), ("x_max", self.x_max)):
+            if not np.all(lim > 0.0):
+                raise ValueError(f"{name} entries must be positive")
         self.bezier_points = _control_points(self.bezier)
         # governor metric P = diag(Kp/2, Kd/2) and the limits of its eight
         # state-box rows, x_max - x_a >= 0 and x_a + x_max >= 0; the control
@@ -188,7 +192,7 @@ def output_data(
     (h2, h3), (dh2, dh3), (dd2, dd3) = _bezier_rows(gait.bezier_points, s)
     sp = ph.ds_dtheta
 
-    (f1, f2, f3), (g11, g21, g31), (g12, g22, g32) = _solve_ddq(
+    (f1, f2, f3), (g11, g21, g31), (g12, g22, g32) = solve_ddq(
         terms.D.tolist(), [[-v for v in terms.H.tolist()], *terms.B.T.tolist()])
 
     a2, a3 = dh2 * sp, dh3 * sp
@@ -209,19 +213,13 @@ def output_data(
     )
 
 
-def decoupling_or_raise(od: OutputData) -> np.ndarray:
-    """LgLfh checked for invertibility (spectral condition number below 1e8).
+def decoupling_or_raise(W: list) -> None:
+    """Check LgLfh, given as two rows of floats, for invertibility.
 
-    For a 2x2 matrix the singular values come in closed form from the
-    Frobenius norm and determinant, which avoids an SVD in the control loop.
+    The spectral condition number must stay below 1e8.  For a 2x2 matrix
+    the singular values come in closed form from the Frobenius norm and
+    determinant, which avoids an SVD in the control loop.
     """
-    A = od.LgLfh
-    _check_decoupling(A.tolist())
-    return A
-
-
-def _check_decoupling(W: list) -> None:
-    """`decoupling_or_raise` on the rows of LgLfh as Python floats."""
     (a, b), (c, d) = W
     f2 = a ** 2 + b ** 2 + c ** 2 + d ** 2
     det = a * d - b * c

@@ -18,11 +18,11 @@ import numpy as np
 from .config import ScenarioConfig, _write_lines, save_config
 from .dynamics import (
     _hip_position,
-    _hip_velocity,
-    _ss_contact_force,
     _swing_foot,
     extend_pinned_state,
     hip_position_pinned,
+    hip_velocity_pinned,
+    ss_contact_force,
     swing_foot_pinned,
 )
 from .erg import SsController
@@ -164,10 +164,10 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
             smp = ss_ctrl.sample(zi)
             q1, q2, q3, dq1, dq2, dq3, w1, w2 = zi.tolist()
             u2, u3 = smp.u.tolist()
-            lamT, lamN = _ss_contact_force((q1, q2, q3), (dq1, dq2, dq3),
-                                           smp.ddq.tolist(), params)
+            lamT, lamN = ss_contact_force((q1, q2, q3), (dq1, dq2, dq3),
+                                          smp.ddq.tolist(), params)
             hx, hy = _hip_position(q1, l)
-            dhx, dhy = _hip_velocity(q1, dq1, l)
+            dhx, dhy = hip_velocity_pinned(q1, dq1, l)
             log.rows.append([
                 ti, "SS", q1, q2, q3, sx + hx, sy + hy,
                 dq1, dq2, dq3, dhx, dhy,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thrusterbiped.config import default_scenario
+from thrusterbiped.dynamics import solve_ddq, ss_dynamics
 from thrusterbiped.gait import GaitDesignSpec, design_gait
 from thrusterbiped.harness import run_walk
 from thrusterbiped.params import ModelParams
@@ -55,3 +56,16 @@ def random_extended_state(rng, angle=0.5, rate=1.0):
         rng.uniform(-rate, rate, size=2),
     ])
     return q_e, dq_e
+
+
+def pinned_vector_field(x_s, u, params):
+    """Single-support state derivative for x_s = [q, dq] under torque u.
+
+    The package's pinned model, `ss_dynamics` and `solve_ddq`, as an
+    ``f(x)`` for the integrators; D ddq = B u - H.
+    """
+    x_s = np.asarray(x_s, dtype=float)
+    terms = ss_dynamics(x_s[:3], x_s[3:], params)
+    rhs = terms.B @ np.asarray(u, dtype=float) - terms.H
+    (ddq,) = solve_ddq(terms.D.tolist(), [rhs.tolist()])
+    return np.concatenate([x_s[3:], ddq])

@@ -11,7 +11,6 @@ from math import comb, cos, sin
 
 import numpy as np
 
-from thrusterbiped.gait import decoupling_or_raise
 from thrusterbiped.params import ModelParams
 
 
@@ -396,8 +395,28 @@ def de_casteljau_numpy(coeffs: np.ndarray, s: float):
 
 def fbl_torque(od, v: np.ndarray) -> np.ndarray:
     """Exact feedback-linearizing torque: ddy = -v under this input."""
-    W = decoupling_or_raise(od)
-    return np.linalg.solve(W, -(od.Lf2h + v))
+    return np.linalg.solve(od.LgLfh, -(od.Lf2h + v))
+
+
+def constraint_rows(LgLfh: np.ndarray, Lf2h: np.ndarray, gait):
+    """(C_x, C_w, C_limit, P) of the governor's constraint set, in plain numpy.
+
+    C_x x_a + C_w x_w + C_limit >= 0 in x_a = (q_a, dq_a) and
+    x_w = (h_d, w).  Rows 0-7 are the state box |x_a| <= x_max.  Rows 8-11
+    are the torque box |u| <= u_max for the feedback-linearizing torque
+    u = -W^-1 (Lf2h + Kp (q_a - h_d) + Kd (dq_a - w)), W = LgLfh, with W^-1
+    from np.linalg.inv.  P = diag(Kp, Kd) / 2 is the Lyapunov metric.
+    """
+    Wi = np.linalg.inv(np.asarray(LgLfh, dtype=float))
+    K = Wi @ np.hstack([np.diag(gait.kp), np.diag(gait.kd)])
+    u_drift = Wi @ np.asarray(Lf2h, dtype=float)
+    eye = np.eye(4)
+    C_x = np.vstack([-eye, eye, K, -K])
+    C_w = np.vstack([np.zeros((8, 4)), -K, K])
+    C_limit = np.concatenate([gait.x_max, gait.x_max,
+                              gait.u_max + u_drift, gait.u_max - u_drift])
+    P = 0.5 * np.diag(np.concatenate([gait.kp, gait.kd]))
+    return C_x, C_w, C_limit, P
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +614,24 @@ def kkt_residuals(P, q, G, h, z, duals) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # constrained accelerations by null-space elimination
 
+def ds_terms(q_e, dq_e, params: ModelParams):
+    """`ext_dynamics` with the thrust column appended to B: input (u2, u3, F_th).
+
+    The thrust column is J_p' f, with J_p the exact Jacobian of the torso
+    mass point and f the unit direction from that point toward the hip (see
+    `thrust_column_geometry` for the finite-difference form).
+    """
+    from thrusterbiped.dynamics import ext_dynamics
+
+    terms = ext_dynamics(q_e, dq_e, params)
+    a123 = q_e[0] + q_e[1] + q_e[2]
+    f = np.array([sin(a123), -cos(a123)])
+    Jp = np.zeros((2, 5))
+    Jp[:, :3] = params.l_T * np.array([[-cos(a123)], [-sin(a123)]])
+    Jp[:, 3:] = np.eye(2)
+    return terms._replace(B=np.column_stack([terms.B, Jp.T @ f]))
+
+
 def ds_nullspace_accel(q, dq, eta, params):
     """Both-feet-pinned accelerations without the KKT formulation.
 
@@ -602,9 +639,9 @@ def ds_nullspace_accel(q, dq, eta, params):
     equation plus a null-space motion, then projects the dynamics onto the
     tangent space; forces come from a least-squares fit of the residual.
     """
-    from thrusterbiped.dynamics import contact_kinematics, ds_dynamics
+    from thrusterbiped.dynamics import contact_kinematics
 
-    terms = ds_dynamics(q, dq, params)
+    terms = ds_terms(q, dq, params)
     ck = contact_kinematics(q, dq, params)
     rhs_c = -ck.jdot_qdot - params.d * (ck.J @ dq)
 

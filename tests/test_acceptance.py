@@ -12,19 +12,20 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import pinned_vector_field
 from test_events import impact_state
 from thrusterbiped.config import default_scenario
-from thrusterbiped.dynamics import (
-    contact_kinematics,
-    energies,
-    ext_dynamics,
-    pinned_vector_field,
-    ss_dynamics,
-)
-from thrusterbiped.erg import GAMMA_CAP, constraint_data, gamma_bound, reference_point
+from thrusterbiped.dynamics import contact_kinematics, energies, ext_dynamics, ss_dynamics
+from thrusterbiped.erg import GAMMA_CAP, constraint_data, gamma_bound
 from thrusterbiped.events import impact_map
 from thrusterbiped.gait import GaitDesignSpec, design_gait, output_data
-from thrusterbiped.harness import max_tracking_error, run_walk, step_metrics, write_logs
+from thrusterbiped.harness import (
+    TRACE_COLUMNS,
+    max_tracking_error,
+    run_walk,
+    step_metrics,
+    write_logs,
+)
 from thrusterbiped.integrate import integrate_rk4
 from thrusterbiped.nmpc import NmpcProblem, reference_trajectory, solve_nmpc
 from thrusterbiped.params import ModelParams
@@ -198,6 +199,36 @@ def test_criterion_5_invariance_residual_shrinks_and_steps_converge(default_run)
     assert max(tail) < 1e-5  # and the steps have genuinely converged
 
 
+def test_the_gait_orbit_is_a_stable_fixed_point_of_the_return_map(default_run):
+    # P maps one SS start state (q, dq) to the next: the last DS row of a
+    # one-cycle run.  At the 10th start of the default run P(x) = x to ~2e-9,
+    # and the central-difference Jacobian of P there has eigenvalues
+    # -0.028, -0.0052, 0.0053 +- 0.0002i, 0 and 0 (h = 1e-6): spectral
+    # radius 0.028, so the orbit is exponentially stable and nearly deadbeat
+    cfg = default_scenario()
+    one = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, n_steps=1))
+    cols = [TRACE_COLUMNS.index(c) for c in ("q1", "q2", "q3", "dq1", "dq2", "dq3")]
+
+    def P(x):
+        log = run_walk(one, start_state=x)
+        assert log.completed_steps == 1, log.aborted
+        last = [row for row in log.rows if row[1] == "DS"][-1]
+        return np.array([last[c] for c in cols])
+
+    x = default_run.steps[9].start_state
+    assert np.max(np.abs(P(x) - x)) < 1e-8
+    h = 1e-6
+    J = np.empty((6, 6))
+    for j in range(6):
+        e = np.zeros(6)
+        e[j] = h
+        J[:, j] = (P(x + e) - P(x - e)) / (2.0 * h)
+    # with both feet held the legs form a rigid triangle, so every SS start
+    # has dq1 = dq2 = 0.0 exactly, whatever the state before
+    assert not J[3:5].any()
+    assert np.max(np.abs(np.linalg.eigvals(J))) < 1.0
+
+
 def test_criterion_6a_impact_map_matches_momentum_projection():
     params = ModelParams()
     rng = np.random.default_rng(7)
@@ -291,25 +322,23 @@ def test_criterion_6e_governor_bound_matches_the_distance_oracle():
     for i in range(50):
         x = np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5, 3)])
         od = output_data(x, gait, params)
-        cdata = constraint_data(od, gait)
-        x_w = reference_point(od, rng.standard_normal(2))
-        got = gamma_bound(x_w, cdata)
-        want = min(
-            oracles.gamma_projection(x_w, cdata.C_x, cdata.C_w,
-                                     cdata.C_limit, cdata.P),
-            GAMMA_CAP)
+        x_w = np.concatenate([od.h_d, rng.standard_normal(2)])
+        k2, k3, limits = constraint_data(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
+        got = gamma_bound(x_w.tolist(), k2, k3, limits, gait)
+        C_x, C_w, C_limit, P = oracles.constraint_rows(od.LgLfh, od.Lf2h, gait)
+        want = min(oracles.gamma_projection(x_w, C_x, C_w, C_limit, P), GAMMA_CAP)
         assert abs(got - want) < 1e-6
         if i >= 5:
             continue
         # sampled points on every finite constraint plane lie no closer
-        for j in range(cdata.C_x.shape[0]):
-            c = cdata.C_x[j]
-            if not np.isfinite(cdata.C_limit[j]) or np.linalg.norm(c) < 1e-12:
+        for j in range(C_x.shape[0]):
+            c = C_x[j]
+            if not np.isfinite(C_limit[j]) or np.linalg.norm(c) < 1e-12:
                 continue
-            b = float(cdata.C_w[j] @ x_w + cdata.C_limit[j])
+            b = float(C_w[j] @ x_w + C_limit[j])
             for p in oracles.on_plane_samples(x_w, c, b, rng, 20, 2.0):
                 e = p - x_w
-                assert float(e @ cdata.P @ e) >= got - 1e-6
+                assert float(e @ P @ e) >= got - 1e-6
 
 
 def test_criterion_7_governor_bound_dominates_lyapunov_in_every_scenario(

@@ -50,6 +50,9 @@ def test_validate_accepts_the_default_scenario(scenario, capsys):
     ("gait", "bezier", [[0.0] * 6, [0.0] * 5]),
     ("sim", "dt_ss", float("nan")),
     ("nmpc", "w_x", [float("nan")] + [1.0] * 9),
+    ("gait", "u_max", [-1.0, -1.0]),
+    ("gait", "u_max", [0.0, 0.0]),
+    ("gait", "x_max", [-1.2, -1.2, -10.0, -10.0]),
 ])
 def test_validate_rejects_bad_configs(scenario, capsys, section, key, value):
     path = edited(scenario, section, key, value)
@@ -84,6 +87,15 @@ def test_sweep_rejects_bad_levels_before_running(scenario, tmp_path, capsys, lev
                  "--output-dir", str(out), "--no-env"])
     assert code == EXIT_CONFIG
     assert "--u-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_checks_every_level_before_the_first_run(scenario, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--u-max", "3,-1", "--config", str(scenario),
+                 "--output-dir", str(out), "--no-env"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: gait: u_max entries must be positive\n"
     assert not out.exists()
 
 

@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_extended_state, random_pinned_state
+from conftest import pinned_vector_field, random_extended_state, random_pinned_state
 from thrusterbiped.dynamics import (
+    _ext_terms,
     contact_kinematics,
     contact_solve,
-    ds_dynamics,
     energies,
     ext_dynamics,
     extend_pinned_state,
     hip_position_pinned,
-    pinned_vector_field,
+    hip_velocity_pinned,
     solve_ddq,
     ss_contact_force,
     ss_dynamics,
     swing_foot_pinned,
 )
+from thrusterbiped.nmpc import ds_rhs
 from thrusterbiped.errors import SingularContactError, SingularDynamicsError
 from thrusterbiped.integrate import integrate_rk4
 
@@ -32,11 +33,10 @@ def test_solve_ddq_matches_a_pivoted_lu_solve(params, rng):
     for _ in range(200):
         q, dq = random_pinned_state(rng, angle=1.5, rate=3.0)
         terms = ss_dynamics(q, dq, params)
-        for rhs in (rng.standard_normal(3), rng.standard_normal((3, 3))):
-            got = solve_ddq(terms, rhs)
-            want = np.linalg.solve(terms.D, rhs)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        rhs = rng.standard_normal((3, 3))
+        got = np.array(solve_ddq(terms.D.tolist(), rhs.T.tolist())).T
+        want = np.linalg.solve(terms.D, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", ["q", "dq"])
@@ -47,7 +47,7 @@ def test_ss_dynamics_rejects_non_finite_states(params, name):
         ss_dynamics(state["q"], state["dq"], params)
 
 
-@pytest.mark.parametrize("fn", [ext_dynamics, ds_dynamics, contact_kinematics])
+@pytest.mark.parametrize("fn", [ext_dynamics, contact_kinematics])
 @pytest.mark.parametrize("name", ["q_e", "dq_e"])
 def test_extended_terms_reject_non_finite_states(params, fn, name):
     for bad in (np.nan, np.inf):
@@ -57,13 +57,12 @@ def test_extended_terms_reject_non_finite_states(params, fn, name):
             fn(state["q_e"], state["dq_e"], params)
 
 
-def test_solve_ddq_rejects_a_singular_mass_matrix(params):
-    terms = ss_dynamics(np.zeros(3), np.zeros(3), params)
-    D = np.ones((3, 3))  # rank one, determinant exactly zero
+def test_solve_ddq_rejects_a_singular_mass_matrix():
+    D = np.ones((3, 3)).tolist()  # rank one, determinant exactly zero
     with pytest.raises(SingularDynamicsError):
-        solve_ddq(terms._replace(D=D), np.ones(3))
+        solve_ddq(D, [[1.0, 1.0, 1.0]])
     with pytest.raises(SingularDynamicsError):
-        solve_ddq(terms._replace(D=-np.eye(3)), np.ones((3, 2)))
+        solve_ddq((-np.eye(3)).tolist(), [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
 
 
 def test_pinned_mass_matrix_matches_energy_hessian(params, rng):
@@ -111,30 +110,42 @@ def test_zero_rates_give_zero_kinetic_and_pure_gravity(params, rng):
     assert np.max(np.abs(H - oracles.gravity_fd(q_e, params, ext=True))) < 1e-6
 
 
+def thrust_column(q_e, params):
+    """The thrust column of the DS input matrix: the hip rows of `_ext_terms`."""
+    _, _, (tx, ty) = _ext_terms(q_e.tolist(), [0.0] * 5, params)
+    return np.array([0.0, 0.0, 0.0, tx, ty])
+
+
 def test_thrust_column_torso_vertical(params):
     # torso link upright: thrust presses straight down on the hip rows only
     q_e = np.array([0.3, -0.5, 0.2, 0.1, 0.6])
     a = q_e[0] + q_e[1] + q_e[2]
     q_e[2] -= a
-    B = ds_dynamics(q_e, np.zeros(5), params).B
-    assert np.max(np.abs(B[:, 2] - np.array([0.0, 0.0, 0.0, 0.0, -1.0]))) < 1e-12
+    col = thrust_column(q_e, params)
+    assert np.max(np.abs(col - np.array([0.0, 0.0, 0.0, 0.0, -1.0]))) < 1e-12
 
 
 def test_thrust_column_matches_virtual_work(params, rng):
     for _ in range(10):
-        q_e, dq_e = random_extended_state(rng)
-        B = ds_dynamics(q_e, dq_e, params).B
+        q_e, _ = random_extended_state(rng)
         col = oracles.thrust_column_geometry(q_e, params)
-        assert np.max(np.abs(B[:, 2] - col)) < 1e-9
+        assert np.max(np.abs(thrust_column(q_e, params) - col)) < 1e-9
 
 
 def test_ds_terms_reduce_to_extended_terms(params, rng):
-    q_e, dq_e = random_extended_state(rng)
-    a = ds_dynamics(q_e, dq_e, params)
-    b = ext_dynamics(q_e, dq_e, params)
-    assert np.array_equal(a.D, b.D)
-    assert np.array_equal(a.H, b.H)
-    assert np.array_equal(a.B[:, :2], b.B)
+    # without thrust, the DS flow is the extended model under the two joint
+    # torques with both feet held
+    for _ in range(20):
+        q_e, dq_e = random_extended_state(rng)
+        q_e[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
+        u = rng.uniform(-3.0, 3.0, 2)
+        terms = ext_dynamics(q_e, dq_e, params)
+        ck = contact_kinematics(q_e, dq_e, params)
+        rhs_con = -ck.jdot_qdot - params.d * (ck.J @ dq_e)
+        ddq, lam = contact_solve(terms.D, ck.J, terms.B @ u - terms.H, rhs_con)
+        forces = ds_rhs(np.concatenate([q_e, dq_e]), np.append(u, 0.0), params)
+        assert np.allclose(forces.ddq, ddq, rtol=1e-12, atol=1e-12)
+        assert np.allclose(forces.lam, lam, rtol=1e-12, atol=1e-12)
 
 
 def test_coincident_legs_have_coincident_feet(params):
@@ -277,8 +288,20 @@ def test_stance_force_is_newtons_law_on_the_centre_of_mass(params, rng):
         x = np.concatenate([q, dq])
         dx = pinned_vector_field(x, u, params)
         a_com = oracles.line_derivative(com_velocity, x, dx)
-        lam = ss_contact_force(q, dq, dx[3:], params)
+        lam = np.array(ss_contact_force(q.tolist(), dq.tolist(), dx[3:].tolist(), params))
         assert np.max(np.abs(lam - (M * a_com + np.array([0.0, M * params.g])))) < 1e-6
+
+
+def test_hip_velocity_is_the_rate_of_the_hip_position(params, rng):
+    def hip(q):
+        return oracles.mass_points_pinned(q, params)[1][1]
+
+    for _ in range(20):
+        q, dq = random_pinned_state(rng)
+        assert np.max(np.abs(hip_position_pinned(q, params) - hip(q))) < 1e-15
+        want = oracles.line_derivative(hip, q, dq)
+        got = np.array(hip_velocity_pinned(q[0], dq[0], params.l))
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_contact_solve_meets_both_blocks_and_rejects_dependent_rows(params, rng):

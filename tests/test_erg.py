@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_pinned_state
+from conftest import pinned_vector_field, random_pinned_state
 from test_gait import on_manifold_state
 from thrusterbiped import erg
-from thrusterbiped.dynamics import DynTerms, pinned_vector_field, ss_dynamics, solve_ddq
+from thrusterbiped.dynamics import solve_ddq, ss_dynamics
 from thrusterbiped.erg import (
     GAMMA_CAP,
-    ConstraintData,
     SsController,
     constraint_data,
     gamma_bound,
@@ -18,7 +17,6 @@ from thrusterbiped.erg import (
     lyapunov_value,
     partitioned_torque,
     pd_accel,
-    reference_point,
 )
 from thrusterbiped.errors import DecouplingSingularityError, SingularDynamicsError
 from thrusterbiped.gait import output_data
@@ -34,14 +32,23 @@ def rand_x(rng, angle=0.5, rate=1.0):
     return np.concatenate([q, dq])
 
 
+def torque_rows(od, gait):
+    """`constraint_data` of an output evaluation, from its arrays."""
+    return constraint_data(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
+
+
+def gamma_of(x_w, od, gait):
+    return gamma_bound(list(x_w), *torque_rows(od, gait), gait)
+
+
 def test_pd_accel_is_the_diagonal_law(rng, gait):
     for _ in range(200):
         y = rng.standard_normal(2)
         dq = rng.standard_normal(2)
         w = rng.standard_normal(2)
-        v = pd_accel(y, dq, w, gait)
+        v = pd_accel(y.tolist(), dq.tolist(), w.tolist(), gait.pd_gains)
         assert np.allclose(v, gait.kp * y + gait.kd * (dq - w), atol=1e-14)
-    assert np.array_equal(pd_accel(np.zeros(2), w, w, gait), np.zeros(2))
+    assert pd_accel([0.0, 0.0], w.tolist(), w.tolist(), gait.pd_gains) == [0.0, 0.0]
 
 
 def test_fbl_torque_inverts_the_input_map(rng, gait, params):
@@ -54,33 +61,49 @@ def test_fbl_torque_inverts_the_input_map(rng, gait, params):
 
 
 def test_torque_rows_encode_the_exact_torque_box(rng, gait, params):
-    # rows 8:10 must be u_max - u_fbl and rows 10:12 u_max + u_fbl, where
-    # u_fbl is the feedback-linearizing torque for the current governor state
+    # the torque rows k.x_a - k.x_w + limit must be u_max - u_fbl and
+    # u_max + u_fbl, where u_fbl is the feedback-linearizing torque for the
+    # current governor state
     for _ in range(50):
         x = rand_x(rng)
         w = rng.standard_normal(2)
         od = output_data(x, gait, params)
-        cdata = constraint_data(od, gait)
-        x_a = x_a_of(x)
-        x_w = reference_point(od, w)
-        rows = cdata.C_x @ x_a + cdata.C_w @ x_w + cdata.C_limit
+        k2, k3, limits = torque_rows(od, gait)
+        K = np.array([k2, k3, [-v for v in k2], [-v for v in k3]])
+        e = x_a_of(x) - np.concatenate([od.h_d, w])
+        rows = K @ e + np.array(limits)
 
-        u_fbl = oracles.fbl_torque(od, pd_accel(od.y, x[4:6], w, gait))
+        v = pd_accel(od.y.tolist(), x[4:6].tolist(), w.tolist(), gait.pd_gains)
+        u_fbl = oracles.fbl_torque(od, np.array(v))
         scale = 1.0 + np.max(np.abs(u_fbl))
-        assert np.max(np.abs(rows[8:10] - (gait.u_max - u_fbl))) < 1e-9 * scale
-        assert np.max(np.abs(rows[10:12] - (gait.u_max + u_fbl))) < 1e-9 * scale
-        assert np.allclose(rows[0:4], gait.x_max - x_a, atol=1e-12)
-        assert np.allclose(rows[4:8], gait.x_max + x_a, atol=1e-12)
+        assert np.max(np.abs(rows[0:2] - (gait.u_max - u_fbl))) < 1e-9 * scale
+        assert np.max(np.abs(rows[2:4] - (gait.u_max + u_fbl))) < 1e-9 * scale
+
+
+def test_torque_rows_match_the_numpy_rows(rng, gait, params):
+    # the adjugate W^-1 of constraint_data and np.linalg.inv round apart:
+    # by a few ulp, amplified by the condition number of W
+    for _ in range(200):
+        od = output_data(rand_x(rng), gait, params)
+        k2, k3, limits = torque_rows(od, gait)
+        C_x, _, C_limit, _ = oracles.constraint_rows(od.LgLfh, od.Lf2h, gait)
+        tol = 4.0 * np.finfo(float).eps * np.linalg.cond(od.LgLfh)
+        got_x = np.array([k2, k3, [-v for v in k2], [-v for v in k3]])
+        assert np.max(np.abs(got_x - C_x[8:])) <= tol * np.max(np.abs(C_x[8:]))
+        drift = np.linalg.solve(od.LgLfh, od.Lf2h)
+        assert (np.max(np.abs(np.array(limits) - C_limit[8:]))
+                <= tol * (np.max(gait.u_max) + np.max(np.abs(drift))))
 
 
 def test_rows_positive_on_the_designed_gait(gait, params):
     for s in (0.1, 0.5, 0.9):
         x = on_manifold_state(gait, s, -0.9)
         od = output_data(x, gait, params)
-        cdata = constraint_data(od, gait)
-        x_w = reference_point(od, od.dh_d_dt)
-        rows = cdata.C_x @ x_a_of(x) + cdata.C_w @ x_w + cdata.C_limit
-        assert np.all(rows > 0.0)
+        # on the manifold with w = dh_d/dt the tracking error is zero, so
+        # the torque rows are their limits and the state rows x_max -+ x_a
+        assert np.max(np.abs(x_a_of(x) - np.concatenate([od.h_d, od.dh_d_dt]))) < 1e-12
+        assert np.all(np.abs(x_a_of(x)) < gait.x_max)
+        assert min(torque_rows(od, gait)[2]) > 0.0
 
 
 def test_lyapunov_is_the_weighted_tracking_energy(rng):
@@ -88,78 +111,79 @@ def test_lyapunov_is_the_weighted_tracking_energy(rng):
         kp = rng.uniform(0.5, 50.0, 2)
         kd = rng.uniform(0.5, 50.0, 2)
         P = 0.5 * np.diag(np.concatenate([kp, kd]))
-        x_a = rng.standard_normal(4)
-        x_w = rng.standard_normal(4)
-        e = x_a - x_w
+        e = rng.standard_normal(4)
         want = 0.5 * (kp @ e[:2] ** 2 + kd @ e[2:] ** 2)
-        assert abs(lyapunov_value(x_a, x_w, P) - want) < 1e-12 * (1.0 + want)
-    assert lyapunov_value(x_w, x_w, P) == 0.0
+        assert abs(lyapunov_value(e.tolist(), P) - want) < 1e-12 * (1.0 + want)
+    assert lyapunov_value([0.0] * 4, P) == 0.0
 
 
-def synthetic_cdata(rng, m=6):
-    C_x = rng.standard_normal((m, 4))
-    C_w = 0.3 * rng.standard_normal((m, 4))
-    C_limit = rng.uniform(0.5, 3.0, m)
-    P = 0.5 * np.diag(rng.uniform(0.5, 3.0, 4))
-    return ConstraintData(C_x, C_w, C_limit, P)
+def box_gait(gait, x_max=None, u_max=None):
+    return dataclasses.replace(
+        gait, x_max=gait.x_max if x_max is None else np.asarray(x_max, dtype=float),
+        u_max=gait.u_max if u_max is None else np.asarray(u_max, dtype=float))
 
 
-def test_gamma_single_row_closed_form(rng):
+def test_gamma_single_row_closed_form(rng, gait):
+    # unbounded state box and one finite torque row: Gamma is that row's
+    # level r^2 / (k P^-1 k'), r its value at x_a = x_w
+    free = box_gait(gait, x_max=np.full(4, np.inf))
+    inf = float("inf")
+    p = 1.0 / np.diag(free.tracking_metric)
     for _ in range(200):
-        c = rng.standard_normal(4)
-        P = 0.5 * np.diag(rng.uniform(0.5, 4.0, 4))
-        x_w = rng.standard_normal(4)
-        lim = rng.uniform(0.5, 3.0)
-        cdata = ConstraintData(c[None, :], np.zeros((1, 4)), np.array([lim]), P)
-        r = c @ x_w + lim
-        got = gamma_bound(x_w, cdata)
-        if r <= 0.0:
+        k = rng.standard_normal(4)
+        lim = rng.uniform(-0.5, 3.0)
+        x_w = rng.standard_normal(4).tolist()
+        got = gamma_bound(x_w, k.tolist(), [0.0] * 4, [lim, inf, inf, inf], free)
+        if lim <= 0.0:
             assert got == 0.0
         else:
-            want = min(r ** 2 / (c ** 2 @ (1.0 / np.diag(P))), GAMMA_CAP)
+            want = min(lim ** 2 / (k ** 2 @ p), GAMMA_CAP)
             assert abs(got - want) < 1e-12 * (1.0 + want)
 
 
-def test_gamma_zero_on_and_past_the_boundary():
-    c = np.array([1.0, 0.0, 0.0, 0.0])
-    P = 0.5 * np.eye(4)
-    cdata = ConstraintData(c[None, :], np.zeros((1, 4)), np.array([2.0]), P)
-    assert gamma_bound(np.array([-2.0, 0.0, 0.0, 0.0]), cdata) == 0.0
-    assert gamma_bound(np.array([-2.5, 0.0, 0.0, 0.0]), cdata) == 0.0
+def test_gamma_zero_on_and_past_the_boundary(gait):
+    inf = float("inf")
+    unbounded = [inf] * 4
+    k = [0.0] * 4
+    for q2 in (-gait.x_max[0], -1.25 * gait.x_max[0], gait.x_max[0]):
+        assert gamma_bound([q2, 0.0, 0.0, 0.0], k, k, unbounded, gait) == 0.0
+    assert gamma_bound([0.0] * 4, k, k, unbounded, gait) > 0.0
 
 
-def test_gamma_skips_unbounded_and_dead_rows(rng):
-    P = 0.5 * np.eye(4)
-    x_w = rng.standard_normal(4)
-    inf = np.full(3, np.inf)
-    cdata = ConstraintData(rng.standard_normal((3, 4)), np.zeros((3, 4)), inf, P)
-    assert gamma_bound(x_w, cdata) == GAMMA_CAP
+def test_gamma_skips_unbounded_and_dead_rows(rng, gait):
+    free = box_gait(gait, x_max=np.full(4, np.inf))
+    inf = float("inf")
+    x_w = rng.standard_normal(4).tolist()
+    k2, k3 = rng.standard_normal(4).tolist(), rng.standard_normal(4).tolist()
+    assert gamma_bound(x_w, k2, k3, [inf] * 4, free) == GAMMA_CAP
 
     # a row with no x_a dependence cannot bind, but a violated one voids the set
-    dead = ConstraintData(np.zeros((1, 4)), np.zeros((1, 4)), np.array([1.0]), P)
-    assert gamma_bound(x_w, dead) == GAMMA_CAP
-    dead_neg = ConstraintData(np.zeros((1, 4)), np.zeros((1, 4)), np.array([-1.0]), P)
-    assert gamma_bound(x_w, dead_neg) == 0.0
+    dead = [0.0] * 4
+    assert gamma_bound(x_w, dead, dead, [1.0, inf, inf, inf], free) == GAMMA_CAP
+    assert gamma_bound(x_w, dead, dead, [-1.0, inf, inf, inf], free) == 0.0
 
 
 def test_gamma_matches_projection_oracle(rng, gait, params):
-    for _ in range(200):
-        cdata = synthetic_cdata(rng)
-        cdata.C_x[2] = 0.0
-        cdata.C_limit[4] = np.inf
+    # gamma_bound against the projection onto each row of the numpy rows
+    for case in range(200):
+        W = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        Lf2h = rng.standard_normal(2)
+        x_max = rng.uniform(0.5, 3.0, 4)
+        x_max[case % 5:case % 5 + 1] = np.inf
+        g = box_gait(gait, x_max=x_max, u_max=rng.uniform(0.5, 3.0, 2))
         x_w = rng.standard_normal(4)
-        got = gamma_bound(x_w, cdata)
-        want = oracles.gamma_projection(x_w, *cdata[:4])
+        got = gamma_bound(x_w.tolist(), *constraint_data(W.tolist(), Lf2h.tolist(), g), g)
+        want = oracles.gamma_projection(x_w, *oracles.constraint_rows(W, Lf2h, g))
         want = min(want, GAMMA_CAP)
         assert abs(got - want) < 1e-9 * (1.0 + want)
 
     for _ in range(20):
         x = rand_x(rng, angle=0.3, rate=0.5)
         od = output_data(x, gait, params)
-        cdata = constraint_data(od, gait)
-        x_w = reference_point(od, rng.standard_normal(2))
-        got = gamma_bound(x_w, cdata)
-        want = min(oracles.gamma_projection(x_w, *cdata[:4]), GAMMA_CAP)
+        x_w = np.concatenate([od.h_d, rng.standard_normal(2)])
+        got = gamma_of(x_w, od, gait)
+        rows = oracles.constraint_rows(od.LgLfh, od.Lf2h, gait)
+        want = min(oracles.gamma_projection(x_w, *rows), GAMMA_CAP)
         assert abs(got - want) < 1e-9 * (1.0 + want)
 
 
@@ -169,40 +193,38 @@ def test_gamma_level_set_stays_inside_the_rows(rng, gait, params):
     while checked < 20:
         x = rand_x(rng, angle=0.3, rate=0.5)
         od = output_data(x, gait, params)
-        cdata = constraint_data(od, gait)
-        x_w = reference_point(od, 0.3 * rng.standard_normal(2))
-        g = gamma_bound(x_w, cdata)
+        x_w = np.concatenate([od.h_d, 0.3 * rng.standard_normal(2)])
+        g = gamma_of(x_w, od, gait)
         if g <= 0.0 or g >= GAMMA_CAP:
             continue
         checked += 1
-        pr = np.diag(cdata.P)
+        C_x, C_w, C_limit, P = oracles.constraint_rows(od.LgLfh, od.Lf2h, gait)
+        pr = np.diag(P)
         for _ in range(100):
             e = rng.standard_normal(4)
             e *= np.sqrt(0.999 * g / (e ** 2 @ pr))
-            rows = cdata.C_x @ (x_w + e) + cdata.C_w @ x_w + cdata.C_limit
-            assert np.min(rows[np.isfinite(cdata.C_limit)]) > -1e-9
+            rows = C_x @ (x_w + e) + C_w @ x_w + C_limit
+            assert np.min(rows[np.isfinite(C_limit)]) > -1e-9
 
 
 def test_governor_rate_margin_and_sign_laws(rng):
-    w = np.array([0.2, -0.4])
-    target = np.array([1.0, -1.5])
-    assert np.array_equal(governor_rate(w, target, 0.0, 100.0, 50.0, 0.01),
-                          np.zeros(2))
-    assert np.array_equal(governor_rate(w, target, -3.0, 100.0, 50.0, 0.01),
-                          np.zeros(2))
+    w = [0.2, -0.4]
+    target = [1.0, -1.5]
+    assert governor_rate(w, target, 0.0, 100.0, 50.0, 0.01) == [0.0, 0.0]
+    assert governor_rate(w, target, -3.0, 100.0, 50.0, 0.01) == [0.0, 0.0]
     assert np.max(np.abs(governor_rate(w, w, 5.0, 100.0, 50.0, 0.01))) == 0.0
 
     for _ in range(200):
         w = rng.standard_normal(2)
         target = rng.standard_normal(2)
         margin = rng.uniform(0.0, 5.0)
-        dw = governor_rate(w, target, margin, 100.0, 50.0, 0.01)
+        dw = np.array(governor_rate(w.tolist(), target.tolist(), margin, 100.0, 50.0, 0.01))
         amp = min(100.0 * margin, 50.0)
         assert np.all(np.sign(dw) == np.sign(target - w))
         assert np.max(np.abs(dw)) <= amp + 1e-12
 
     # far from the target the slew saturates at the amplitude
-    dw = governor_rate(np.zeros(2), np.array([1.0, -1.0]), 10.0, 100.0, 50.0, 0.01)
+    dw = np.array(governor_rate([0.0, 0.0], [1.0, -1.0], 10.0, 100.0, 50.0, 0.01))
     assert np.max(np.abs(np.abs(dw) - 50.0)) < 1e-8
 
 
@@ -211,7 +233,7 @@ def test_governor_rate_drives_w_to_the_target():
     w = target + np.array([0.5, -0.5])
 
     def f(t, w):
-        return governor_rate(w, target, 1e9, 100.0, 50.0, 0.01)
+        return np.array(governor_rate(w.tolist(), target.tolist(), 1e9, 100.0, 50.0, 0.01))
 
     t, dt = 0.0, 1e-4
     for _ in range(500):
@@ -235,10 +257,10 @@ def test_partitioned_torque_matches_direct_solve(rng, params):
         rhs = -H - D[:, 1:] @ (dw - v)
         u_ref = np.linalg.solve(M, rhs)[1:]
 
-        u = partitioned_torque(x, dw, v, params)
+        u = np.array(partitioned_torque(D.tolist(), H.tolist(), *(dw - v).tolist()))
         assert np.max(np.abs(u - u_ref)) < 1e-8 * (1.0 + np.max(np.abs(u_ref)))
 
-        ddq = solve_ddq(terms, terms.B @ u - terms.H)
+        ddq = np.linalg.solve(D, terms.B @ u - H)
         assert np.max(np.abs(ddq[1:] - (dw - v))) < 1e-8
 
 
@@ -247,20 +269,18 @@ def test_partitioned_torque_drift_term(rng, params):
         x = rand_x(rng)
         terms = ss_dynamics(x[:3], x[3:], params)
         D, H = terms.D, terms.H
-        u = partitioned_torque(x, np.zeros(2), np.zeros(2), params)
+        u = np.array(partitioned_torque(D.tolist(), H.tolist(), 0.0, 0.0))
         beta2 = H[1:] - D[1:, 0] * (H[0] / D[0, 0])
         assert np.max(np.abs(u - beta2)) < 1e-10 * (1.0 + np.max(np.abs(beta2)))
-        ddq = solve_ddq(terms, terms.B @ u - terms.H)
+        ddq = np.linalg.solve(D, terms.B @ u - H)
         assert np.max(np.abs(ddq[1:])) < 1e-9
 
 
-def test_partitioned_torque_rejects_singular_partition(params):
-    x = np.zeros(6)
+def test_partitioned_torque_rejects_singular_partition():
     D = np.eye(3)
     D[0, 0] = 0.0
-    terms = DynTerms(D=D, H=np.zeros(3), B=np.zeros((3, 2)))
     with pytest.raises(SingularDynamicsError):
-        partitioned_torque(x, np.zeros(2), np.zeros(2), params, terms=terms)
+        partitioned_torque(D.tolist(), [0.0] * 3, 0.0, 0.0)
 
 
 def test_initial_w_starts_with_zero_velocity_error(rng, gait, params):
@@ -269,9 +289,8 @@ def test_initial_w_starts_with_zero_velocity_error(rng, gait, params):
     w = ctrl.initial_w(x)
     assert np.array_equal(w, x[4:6])
     od = output_data(x, gait, params)
-    cdata = constraint_data(od, gait)
-    x_w = reference_point(od, w)
-    V = lyapunov_value(x_a_of(x), x_w, cdata.P)
+    V = lyapunov_value((x_a_of(x) - np.concatenate([od.h_d, w])).tolist(),
+                       gait.tracking_metric)
     want = 0.5 * gait.kp @ od.y ** 2
     assert abs(V - want) < 1e-12 * (1.0 + want)
 
@@ -319,7 +338,7 @@ def test_field_integrates_the_sampled_accelerations(gait, params, monkeypatch):
     def no_solve(*args):
         raise AssertionError("field solved for ddq again")
 
-    monkeypatch.setattr(erg, "_solve_ddq", no_solve)
+    monkeypatch.setattr(erg, "solve_ddq", no_solve)
     got = ctrl.field(0.0, z)
     assert np.array_equal(got[:3], z[3:6])
     assert np.array_equal(got[3:6], smp.ddq)
@@ -329,9 +348,9 @@ def test_field_integrates_the_sampled_accelerations(gait, params, monkeypatch):
 @pytest.mark.parametrize("case", ["default", "tight torque", "unbounded state",
                                   "governor off"])
 def test_pipeline_is_the_composition_of_the_layer_functions(rng, gait, params, case):
-    # the controller runs private float cores; each public layer function is
-    # an array wrapper around the same core, so composing the public functions
-    # must give the controller's values bit for bit
+    # the controller chains the public layer functions; composing them here
+    # must give the controller's values bit for bit, and its Gamma must
+    # match the projection onto the numpy constraint rows
     if case == "tight torque":
         gait = dataclasses.replace(gait, u_max=np.array([0.5, 0.2]))
     elif case == "unbounded state":
@@ -340,7 +359,7 @@ def test_pipeline_is_the_composition_of_the_layer_functions(rng, gait, params, c
     checked = 0
     for _ in range(300):
         z = np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-2.0, 2.0, 5)])
-        x, w = z[:6], z[6:]
+        x, w = z[:6], z[6:].tolist()
         ctrl = SsController(gait, params, governor_enabled=governed)
         try:
             smp = ctrl.sample(z)
@@ -348,20 +367,24 @@ def test_pipeline_is_the_composition_of_the_layer_functions(rng, gait, params, c
             continue
         terms = ss_dynamics(x[:3], x[3:], params)
         od = output_data(x, gait, params, terms=terms)
-        cdata = constraint_data(od, gait)
-        x_w = reference_point(od, w)
-        V = lyapunov_value(x_a_of(x), x_w, cdata.P)
-        Gamma = gamma_bound(x_w, cdata)
-        dw = governor_rate(w, od.dh_d_dt, Gamma - V, ctrl.kappa, ctrl.rate_cap,
-                           ctrl.sign_eps) if governed else np.zeros(2)
-        v = pd_accel(od.y, x[4:6], w, gait)
-        u_raw = partitioned_torque(x, dw, v, params, terms=terms)
+        k2, k3, limits = torque_rows(od, gait)
+        x_w = od.h_d.tolist() + w
+        V = lyapunov_value((x_a_of(x) - np.array(x_w)).tolist(), gait.tracking_metric)
+        Gamma = gamma_bound(x_w, k2, k3, limits, gait)
+        dw = governor_rate(w, od.dh_d_dt.tolist(), Gamma - V, ctrl.kappa,
+                           ctrl.rate_cap, ctrl.sign_eps) if governed else [0.0, 0.0]
+        v = pd_accel(od.y.tolist(), x[4:6].tolist(), w, gait.pd_gains)
+        u_raw = partitioned_torque(terms.D.tolist(), terms.H.tolist(),
+                                   dw[0] - v[0], dw[1] - v[1])
         u = np.clip(u_raw, -gait.u_max, gait.u_max)
-        ddq = solve_ddq(terms, terms.B @ u - terms.H)
+        (ddq,) = solve_ddq(terms.D.tolist(), [(terms.B @ u - terms.H).tolist()])
         assert smp.V == V and smp.Gamma == Gamma
         assert np.array_equal(smp.u_raw, u_raw) and np.array_equal(smp.u, u)
         assert np.array_equal(smp.ddq, ddq)
         assert np.array_equal(ctrl.field(0.0, z), np.concatenate([x[3:], ddq, dw]))
+        rows = oracles.constraint_rows(od.LgLfh, od.Lf2h, gait)
+        want = min(oracles.gamma_projection(np.array(x_w), *rows), GAMMA_CAP)
+        assert abs(Gamma - want) <= 1e-9 * (1.0 + want)
         checked += 1
     assert checked > 250
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from thrusterbiped.dynamics import extend_pinned_state, pinned_vector_field
+from conftest import pinned_vector_field
+from thrusterbiped.dynamics import extend_pinned_state
 from thrusterbiped.errors import DecouplingSingularityError, GaitDesignError
 from thrusterbiped.events import impact_map, relabel
 from thrusterbiped.gait import (
     GaitDesignSpec,
-    OutputData,
     bezier_eval,
     decoupling_or_raise,
     design_gait,
@@ -139,18 +139,28 @@ def test_linearizing_torque_cancels_drift(gait, params, rng):
         x = on_manifold_state(gait, s, -0.5)
         x[1:] += rng.uniform(-0.1, 0.1, size=5)
         od = output_data(x, gait, params)
-        u_star = np.linalg.solve(decoupling_or_raise(od), -od.Lf2h)
+        decoupling_or_raise(od.LgLfh.tolist())
+        u_star = np.linalg.solve(od.LgLfh, -od.Lf2h)
         assert np.max(np.abs(od.Lf2h + od.LgLfh @ u_star)) < 1e-10
 
 
 def test_decoupling_rejects_singular_input_map():
-    od = OutputData(
-        y=np.zeros(2), dy=np.zeros(2), Lf2h=np.zeros(2),
-        LgLfh=np.array([[1.0, 0.0], [0.0, 0.0]]),
-        h_d=np.zeros(2), dh_d_dt=np.zeros(2), s=0.5, s_raw=0.5,
-        dh_ds=np.zeros(2))
     with pytest.raises(DecouplingSingularityError):
-        decoupling_or_raise(od)
+        decoupling_or_raise([[1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("u_max", [-1.0, -1.0]),
+    ("u_max", [0.0, 3.0]),
+    ("u_max", [3.0, np.nan]),
+    ("x_max", [-1.2, -1.2, -10.0, -10.0]),
+    ("x_max", [1.2, 1.2, 0.0, 10.0]),
+    ("x_max", [1.2, np.nan, 10.0, 10.0]),
+    ("x_max", [1.2, 1.2, -np.inf, 10.0]),
+])
+def test_gait_rejects_non_positive_or_nan_limits(gait, key, value):
+    with pytest.raises(ValueError, match=f"^{key} entries must be positive$"):
+        dataclasses.replace(gait, **{key: np.array(value)})
 
 
 def test_designed_endpoints_reproduce_boundary_postures(gait, params):
@@ -244,8 +254,8 @@ def test_exact_torque_holds_manifold_over_a_step(gait, params):
 
     def field(t, x):
         od = output_data(x, gait, params)
-        u = np.linalg.solve(decoupling_or_raise(od), -od.Lf2h)
-        return pinned_vector_field(x, u, params)
+        decoupling_or_raise(od.LgLfh.tolist())
+        return pinned_vector_field(x, np.linalg.solve(od.LgLfh, -od.Lf2h), params)
 
     res = integrate_rk4(field, x0, 0.0, 5.0, 2e-4,
                         guard=lambda x: x[0] - gait.theta_minus)

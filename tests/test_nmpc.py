@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from thrusterbiped import nmpc
-from thrusterbiped.dynamics import contact_kinematics, contact_solve, ds_dynamics
+from thrusterbiped.dynamics import contact_kinematics, contact_solve, ext_dynamics
 from thrusterbiped.errors import SingularContactError
 from thrusterbiped.gait import nominal_start_state
 from thrusterbiped.nmpc import (
@@ -73,7 +73,7 @@ def test_float_paths_match_the_array_wrappers(rng, params):
         x[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
         eta = rng.uniform(-5.0, 5.0, 3)
         q, dq = x[:5], x[5:]
-        terms = ds_dynamics(q, dq, params)
+        terms = oracles.ds_terms(q, dq, params)
         ck = contact_kinematics(q, dq, params)
         rhs_con = -ck.jdot_qdot - params.d * (ck.J @ dq)
         ddq_ref, lam_ref = contact_solve(terms.D, ck.J, terms.B @ eta - terms.H, rhs_con)
@@ -390,7 +390,7 @@ def test_float_paths_reject_non_finite_states(params, name, index):
         x = ds_state(params, 0.1, 0.1, -1.0)
         x[index] = bad
         with pytest.raises(ValueError) as want:
-            ds_dynamics(x[:5], x[5:], params)
+            ext_dynamics(x[:5], x[5:], params)
         assert str(want.value) == f"{name} contains non-finite entries"
         for call in (lambda: ds_rhs(x, np.zeros(3), params),
                      lambda: oracles.ds_affine_maps(x, params),
