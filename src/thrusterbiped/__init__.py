@@ -10,7 +10,6 @@ simulation harness with config, logging, and CLI (`harness`, `config`,
 
 from .config import ScenarioConfig, default_scenario, load_config, save_config
 from .dynamics import (
-    ContactKinematics,
     DynTerms,
     contact_kinematics,
     energies,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BipedError",
     "ConfigError",
-    "ContactKinematics",
     "DecouplingSingularityError",
     "DynTerms",
     "EventLocationError",

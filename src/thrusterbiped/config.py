@@ -18,7 +18,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from math import isnan
+from math import inf, isfinite
 
 import numpy as np
 
@@ -28,6 +28,10 @@ from .params import ModelParams
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "BIPED_"
+# limits that +inf leaves open, as non-binding rows; every other number of a
+# scenario must be finite
+OPEN_LIMITS = ("gait.u_max", "gait.x_max", "nmpc.angle_max", "nmpc.rate_max",
+               "nmpc.hip_box", "model.f_th_max")
 
 
 @dataclass
@@ -119,6 +123,10 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
+        for name, value in _numbers(config_to_dict(self)):
+            if not (isfinite(value) or (value == inf and name in OPEN_LIMITS)):
+                raise ConfigError(f"{name} must be finite"
+                                  + (" or +inf" if name in OPEN_LIMITS else ""))
         for name, vec, n in (
             ("gait.kp", self.gait.kp, 2), ("gait.kd", self.gait.kd, 2),
             ("gait.u_max", self.gait.u_max, 2), ("gait.x_max", self.gait.x_max, 4),
@@ -130,6 +138,11 @@ class ScenarioConfig:
             (min(self.nmpc.w_x) < 0.0, "nmpc.w_x entries must be nonnegative"),
             (min(self.nmpc.w_eta) <= 0.0, "nmpc.w_eta entries must be positive"),
             (self.erg.sign_eps <= 0.0, "erg.sign_eps must be positive"),
+            (self.erg.kappa <= 0.0, "erg.kappa must be positive"),
+            (self.erg.rate_cap <= 0.0, "erg.rate_cap must be positive"),
+            (min(self.nmpc.angle_max, self.nmpc.rate_max, self.nmpc.hip_box) <= 0.0,
+             "nmpc.angle_max, nmpc.rate_max and nmpc.hip_box must be positive"),
+            (self.nmpc.eps_normal < 0.0, "nmpc.eps_normal must be nonnegative"),
             (self.sim.mu_s <= 0.0, "sim.mu_s must be positive"),
             (self.sim.dt_ss <= 0.0 or self.sim.dt_ds <= 0.0,
              "integration steps must be positive"),
@@ -158,20 +171,29 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+def _numbers(value, name: str = ""):
+    """(dotted field name, number) for every number in a config dict."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _numbers(v, f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _numbers(v, name)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield name, value
+
+
 def _has_json_type(value, type_name: str) -> bool:
     """Whether a JSON value fits a field declared as ``type_name``.
 
-    An int fits a float; a bool is never a number; NaN is no number either
-    (every range check compares false on it), while an infinite limit is
-    allowed and reads as non-binding; a list holds numbers or lists of them.
+    An int fits a float; a bool is never a number; a list holds numbers or
+    lists of them.  `ScenarioConfig.validate` checks that numbers are finite.
     """
     if type_name == "list":
         return isinstance(value, list) and all(
             _has_json_type(v, "float") or _has_json_type(v, "list") for v in value)
     if isinstance(value, bool):
         return type_name == "bool"
-    if isinstance(value, float) and isnan(value):
-        return False
     return isinstance(value, {"float": (int, float), "int": int, "str": str,
                               "bool": bool}[type_name])
 

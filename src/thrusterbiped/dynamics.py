@@ -18,16 +18,15 @@ All terms below are hand-derived from the point-mass Jacobians
 the finite-difference oracles in the test suite gate them.  They are
 evaluated on Python floats, with no LAPACK call.
 
-In single support, `solve_ddq` (the closed-form 3x3 solve),
-`ss_contact_force` and `hip_velocity_pinned` take and return Python floats,
-so the controller and the walk log use them without building arrays.  The
-unpinned model has a float core: `_ext_terms` (D, H and the thrust
-direction), `_contact_terms` (foot positions, J's leg entries and J's
-velocity-product term) and `_contact_core` (the contact solve) take and
-return Python floats, so the double-support right-hand side in `nmpc` runs
-from state to forces without building an array.  `ext_dynamics`,
-`contact_kinematics` and `contact_solve` are array wrappers around those
-cores for the impact map.
+Every model function here takes and returns Python floats, so the
+controllers and the walk log use them without building arrays: in single
+support `ss_dynamics`, `solve_ddq` (the closed-form 3x3 solve),
+`ss_contact_force` and `hip_velocity_pinned`; for the unpinned model
+`ext_dynamics` (D, H and the thrust direction), `contact_kinematics` (foot
+positions, J's leg block and J's velocity-product term) and `contact_solve`.
+The boundary functions that the run harness calls with arrays take and
+return arrays: `extend_pinned_state`, `hip_position_pinned`,
+`swing_foot_pinned` and `energies`.
 
 The two-foot contact solve (`contact_solve`, behind double support and the
 impact map) relies on the structure of the contact Jacobian: no foot moves
@@ -49,47 +48,23 @@ from .params import ModelParams
 
 
 class DynTerms(NamedTuple):
-    """Manipulator terms: D(q) ddq + H(q, dq) = B u."""
+    """Pinned manipulator terms D(q) ddq + H(q, dq) = B_SS u, as Python floats."""
 
-    D: np.ndarray
-    H: np.ndarray
-    B: np.ndarray
-
-
-class ContactKinematics(NamedTuple):
-    """Foot positions and the stacked two-foot contact Jacobian.
-
-    Rows of J are ordered (p1_x, p1_y, p2_x, p2_y); jdot_qdot is the
-    velocity-product acceleration d(J qdot)/dt - J qddot of those rows.
-    """
-
-    p1: np.ndarray
-    p2: np.ndarray
-    J: np.ndarray
-    jdot_qdot: np.ndarray
+    D: tuple  # three rows of three
+    H: tuple  # three
 
 
-# actuation matrices are configuration independent: u2 acts on the relative
-# swing-hip coordinate, u3 on the relative torso coordinate
-_B_SS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_B_EXT = np.array(
-    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
-)
-# torso and hip columns of the contact Jacobian: each foot row moves with the
-# hip, and no foot moves with the torso
-_J_TORSO_HIP = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+# the single-support actuation matrix, rows q1..q3, is configuration
+# independent: u2 acts on the relative swing-hip coordinate, u3 on the
+# relative torso coordinate
+B_SS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
-def _finite(name: str, vals: list[float]) -> list[float]:
+def _finite(name: str, vals):
     """``vals`` unchanged if all of them are finite."""
     if not all(map(isfinite, vals)):
         raise ValueError(f"{name} contains non-finite entries")
     return vals
-
-
-def _finite_floats(name: str, value: np.ndarray) -> list[float]:
-    """The entries of ``value`` as Python floats, all of them finite."""
-    return _finite(name, np.asarray(value, dtype=float).tolist())
 
 
 def _com_moments(params: ModelParams) -> tuple[float, float, float]:
@@ -103,10 +78,14 @@ def _com_moments(params: ModelParams) -> tuple[float, float, float]:
     return params.l * (mh + mT + mk) + lh * mk, -lh * mk, params.l_T * mT
 
 
-def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
-    """Pinned single-support terms (stance foot at the origin)."""
-    q1, q2, q3 = _finite_floats("q", q)
-    dq1, dq2, dq3 = _finite_floats("dq", dq)
+def ss_dynamics(q, dq, params: ModelParams) -> DynTerms:
+    """Pinned single-support terms (stance foot at the origin).
+
+    q and dq are triples of Python floats; a non-finite entry raises
+    ValueError.  D comes back as three rows and H as a triple.
+    """
+    q1, q2, q3 = _finite("q", q)
+    dq1, dq2, dq3 = _finite("dq", dq)
 
     mh, mT, mk = params.m_h, params.m_T, params.m_k
     l, lT = params.l, params.l_T
@@ -129,7 +108,7 @@ def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
     d22 = mT * lT * lT + mk * lh * lh
     d23 = mT * lT * lT
     d33 = mT * lT * lT
-    D = np.array([[d11, d12, d13], [d12, d22, d23], [d13, d23, d33]])
+    D = ((d11, d12, d13), (d12, d22, d23), (d13, d23, d33))
 
     w12 = dq1 + dq2
     w123 = dq1 + dq2 + dq3
@@ -147,16 +126,16 @@ def ss_dynamics(q: np.ndarray, dq: np.ndarray, params: ModelParams) -> DynTerms:
     g2 = -g * (Bc * s12 + Cc * s123)
     g3 = -g * Cc * s123
 
-    H = np.array([h1 + g1, h2 + g2, h3 + g3])
-    return DynTerms(D, H, _B_SS)
+    return DynTerms(D, (h1 + g1, h2 + g2, h3 + g3))
 
 
-def _ext_terms(q_e: list[float], dq_e: list[float], params: ModelParams):
+def ext_dynamics(q_e, dq_e, params: ModelParams):
     """D (rows), H and the thrust direction of the unpinned 5-DOF model.
 
-    Takes and returns Python floats; the caller has checked the state finite.
-    The thrust direction (sin, -cos of the absolute torso angle) is the
-    hip-translation part of the thrust column of B.
+    The hip position is appended to q; the joint torques act on the q2 and
+    q3 rows.  Takes and returns Python floats; the caller has checked the
+    state finite.  The thrust direction (sin, -cos of the absolute torso angle) is
+    the hip-translation part of the thrust column of the input matrix.
     """
     q1, q2, q3, _, _ = q_e
     dq1, dq2, dq3, _, _ = dq_e
@@ -205,22 +184,15 @@ def _ext_terms(q_e: list[float], dq_e: list[float], params: ModelParams):
     return D, H, (s123, -c123)
 
 
-def _ext_state(q_e: np.ndarray, dq_e: np.ndarray) -> tuple[list[float], list[float]]:
-    return _finite_floats("q_e", q_e), _finite_floats("dq_e", dq_e)
+def contact_kinematics(q_e, dq_e, params: ModelParams):
+    """Foot positions p1, p2, J's leg block and J's velocity-product term.
 
-
-def ext_dynamics(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> DynTerms:
-    """Unpinned 5-DOF terms (hip position appended), joint torques only."""
-    D, H, _ = _ext_terms(*_ext_state(q_e, dq_e), params)
-    return DynTerms(np.array(D), np.array(H), _B_EXT)
-
-
-def _contact_terms(q_e: list[float], dq_e: list[float], params: ModelParams):
-    """Foot positions, J's leg entries and J's velocity-product term.
-
-    Python floats in and out.  The leg entries (l cos q1, l sin q1,
-    l cos(q1 + q2), l sin(q1 + q2)) fill J's first column; the second
-    column repeats the foot-2 ones.
+    Python floats in and out; the caller has checked the state finite.  J
+    stacks the rows (p1_x, p1_y, p2_x, p2_y) of both feet.  Its leg block,
+    the columns of q1 and q2, comes row by row as (a00, a01, ..., a31), the
+    form `contact_solve` takes: no foot moves with the torso, and each foot
+    moves one-to-one with the hip, so the other three columns are fixed.
+    The velocity-product term is d(J qdot)/dt - J qddot of the four rows.
     """
     q1, q2, _, xh, yh = q_e
     dq1, dq2, _, _, _ = dq_e
@@ -231,25 +203,10 @@ def _contact_terms(q_e: list[float], dq_e: list[float], params: ModelParams):
     return (
         (xh + l * s1, yh - l * c1),
         (xh + l * s12, yh - l * c12),
-        (l * c1, l * s1, l * c12, l * s12),
+        (l * c1, 0.0, l * s1, 0.0, l * c12, l * c12, l * s12, l * s12),
         (-l * s1 * dq1 * dq1, l * c1 * dq1 * dq1,
          -l * s12 * w12 * w12, l * c12 * w12 * w12),
     )
-
-
-def contact_kinematics(
-    q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams
-) -> ContactKinematics:
-    """Both foot positions plus J and its velocity-product term."""
-    p1, p2, (j0, j1, j2, j3), jdot_qdot = _contact_terms(
-        *_ext_state(q_e, dq_e), params)
-    J = np.array([
-        [j0, 0.0, 0.0, 1.0, 0.0],
-        [j1, 0.0, 0.0, 0.0, 1.0],
-        [j2, j2, 0.0, 1.0, 0.0],
-        [j3, j3, 0.0, 0.0, 1.0],
-    ])
-    return ContactKinematics(np.array(p1), np.array(p2), J, np.array(jdot_qdot))
 
 
 def energies(
@@ -266,7 +223,7 @@ def energies(
     if model == "pinned":
         if q.shape != (3,):
             raise ValueError("pinned energies expect 3 coordinates")
-        D, _, _ = ss_dynamics(q, dq, params)
+        D, _ = ss_dynamics(q.tolist(), dq.tolist(), params)
         c1 = cos(q[0])
         c12 = cos(q[0] + q[1])
         c123 = cos(q[0] + q[1] + q[2])
@@ -279,7 +236,8 @@ def energies(
     elif model == "extended":
         if q.shape != (5,):
             raise ValueError("extended energies expect 5 coordinates")
-        D, _, _ = ext_dynamics(q, dq, params)
+        D, _, _ = ext_dynamics(_finite("q_e", q.tolist()),
+                               _finite("dq_e", dq.tolist()), params)
         c1 = cos(q[0])
         c12 = cos(q[0] + q[1])
         c123 = cos(q[0] + q[1] + q[2])
@@ -292,7 +250,7 @@ def energies(
         )
     else:
         raise ValueError(f"unknown model flavor {model!r}")
-    K = 0.5 * float(dq @ D @ dq)
+    K = 0.5 * float(dq @ np.array(D) @ dq)
     return K, float(V)
 
 
@@ -362,13 +320,23 @@ def extend_pinned_state(
     return q_e, dq_e
 
 
-def _contact_core(D, legs, cols) -> list[tuple[tuple, tuple]]:
-    """Null-space elimination of the contact system on Python floats.
+def contact_solve(D, legs, cols) -> list[tuple[tuple, tuple]]:
+    """Solve the contact saddle-point system ``[[D, -J^T], [J, 0]]``.
 
-    ``D`` is the five rows of the mass matrix, ``legs`` J's leg block
-    (a00, a01, a10, a11, a20, a21, a30, a31) row by row, and ``cols`` the
-    right-hand-side columns as (rhs_dyn, rhs_con) pairs of 5 and 4 floats.
-    Returns one (x, lam) pair of tuples per column; see `contact_solve`.
+    ``D x - J^T lam = rhs_dyn`` and ``J x = rhs_con`` for each column of
+    ``cols``, given as (rhs_dyn, rhs_con) pairs of 5 and 4 floats.  ``D`` is
+    the five rows of the mass matrix and ``legs`` J's leg block
+    (a00, a01, a10, a11, a20, a21, a30, a31) row by row, as
+    `contact_kinematics` returns it; J's torso column is zero and its hip
+    columns are the unit rows.  Returns one (x, lam) pair of tuples per
+    column.  Used for the constrained flow (x = accelerations, lam = forces)
+    and for the impact (x = post-impact velocities, lam = impulses).
+
+    Null-space elimination on Python floats: rows (p2 - p1) leave the 2x2
+    leg block L, which gives the two leg coordinates, rows p1 the hip, the
+    torso row D[2] the torso coordinate, and J^T lam = D x - rhs_dyn the
+    forces.  Collinear legs (see above) or a non-finite result raise
+    SingularContactError.
     """
     a00, a01, a10, a11, a20, a21, a30, a31 = legs
     L00, L01, L10, L11 = a20 - a00, a21 - a01, a30 - a10, a31 - a11
@@ -409,46 +377,6 @@ def _contact_core(D, legs, cols) -> list[tuple[tuple, tuple]]:
             raise SingularContactError("non-finite contact solution")
         out.append((x, lam))
     return out
-
-
-def contact_solve(
-    D: np.ndarray, J: np.ndarray, rhs_dyn: np.ndarray, rhs_con: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the contact saddle-point system ``[[D, -J^T], [J, 0]]``.
-
-    ``D x - J^T lam = rhs_dyn`` and ``J x = rhs_con``; the right-hand sides
-    are vectors or blocks of columns, (5,) and (4,) or (5, k) and (4, k).
-    Returns (x, lam).  Used for the constrained flow (x = accelerations,
-    lam = forces) and for the impact (x = post-impact velocities,
-    lam = impulses).
-
-    Solved by null-space elimination on Python floats.  J must have the
-    model's structure: a zero torso column and unit hip columns, so that
-    rows (p2 - p1) leave the 2x2 leg block L = J[2:, :2] - J[:2, :2].  L
-    gives the two leg coordinates, rows p1 the hip, the torso row D[2] the
-    torso coordinate, and J^T lam = D x - rhs_dyn the forces.  A J without
-    that structure raises ValueError.  The system is singular, and raises
-    SingularContactError, when |det L| (-l^2 sin q2 for the model's J) is at
-    or below 1e-12 (max |J_ij|)^2, i.e. the legs are (nearly) collinear, or
-    when the result is not finite.
-    """
-    J_rows = np.asarray(J, dtype=float).tolist()
-    if [row[2:] for row in J_rows] != _J_TORSO_HIP:
-        raise ValueError("J must have a zero torso column and unit hip columns")
-    legs = [a for row in J_rows for a in row[:2]]
-    dyn = np.asarray(rhs_dyn, dtype=float)
-    con = np.asarray(rhs_con, dtype=float)
-    if dyn.shape[1:] != con.shape[1:]:
-        raise ValueError("rhs_dyn and rhs_con need the same number of columns")
-    if dyn.ndim == 1:
-        cols = [(dyn.tolist(), con.tolist())]
-    else:
-        cols = zip(dyn.T.tolist(), con.T.tolist())
-    out = _contact_core(np.asarray(D, dtype=float).tolist(), legs, cols)
-    if dyn.ndim == 1:
-        x, lam = out[0]
-        return np.array(x), np.array(lam)
-    return np.array([x for x, _ in out]).T, np.array([lam for _, lam in out]).T
 
 
 def ss_contact_force(q, dq, ddq, params: ModelParams) -> tuple[float, float]:

@@ -7,12 +7,12 @@ commanded torque inside its box without ever clipping the closed-loop law.
 
 Each layer is one function on Python floats: `pd_accel`, `partitioned_torque`,
 `constraint_data` (the torque rows of the constraint set), `lyapunov_value`,
-`gamma_bound` and `governor_rate`.  `SsController` chains them: a field call
-builds the arrays of `ss_dynamics` and `output_data` and the returned
-8-vector, and nothing in between.  `gamma_bound` reads the constraint rows
-from their structure, not from 12x4 matrices.  V keeps numpy's fused
-multiply-add dot products and the governor keeps `np.tanh`; both hold the
-controller to the bits stored in ``tests/data/ss_pipeline_reference.csv``.
+`gamma_bound` and `governor_rate`.  `SsController` chains them with the
+float functions `ss_dynamics` and `output_data`: a field call builds only
+its returned 8-vector.  `gamma_bound` reads the constraint rows from their
+structure, not from 12x4 matrices.  V keeps numpy's fused multiply-add dot
+products and the governor keeps `np.tanh`; both hold the controller to the
+bits stored in ``tests/data/ss_pipeline_reference.csv``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import isfinite
 
 import numpy as np
 
-from .dynamics import _finite, solve_ddq, ss_dynamics
+from .dynamics import B_SS, _finite, solve_ddq, ss_dynamics
 from .errors import SingularDynamicsError
 from .gait import GaitParams, decoupling_or_raise, output_data
 from .params import ModelParams
@@ -218,32 +218,28 @@ class SsController:
         if key == self._last[0]:
             return self._last[1]
         zl = z.tolist()
-        if not all(map(isfinite, zl)):
-            _finite("q", zl[:3])
-            _finite("dq", zl[3:6])
-            _finite("w", zl[6:])
-        w = zl[6:]
         gait = self.gait
-        terms = ss_dynamics(z[:3], z[3:6], self.params)
-        od = output_data(z[:6], gait, self.params, terms=terms)
-        D, H = terms.D.tolist(), terms.H.tolist()
-        k2, k3, torque_limits = constraint_data(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
-        x_w = od.h_d.tolist() + w
+        terms = ss_dynamics(zl[:3], zl[3:6], self.params)
+        w = _finite("w", zl[6:])
+        od = output_data(zl[:6], gait, self.params, terms=terms)
+        D, H = terms
+        k2, k3, torque_limits = constraint_data(od.LgLfh, od.Lf2h, gait)
+        x_w = [*od.h_d, *w]
         V = lyapunov_value([zl[1] - x_w[0], zl[2] - x_w[1], zl[4] - x_w[2], zl[5] - x_w[3]],
                            gait.tracking_metric)
         Gamma = gamma_bound(x_w, k2, k3, torque_limits, gait)
         if self.governor_enabled:
-            dw = governor_rate(w, od.dh_d_dt.tolist(), Gamma - V, self.kappa,
+            dw = governor_rate(w, od.dh_d_dt, Gamma - V, self.kappa,
                                self.rate_cap, self.sign_eps)
         else:
             dw = [0.0, 0.0]
-        v = pd_accel(od.y.tolist(), zl[4:6], w, gait.pd_gains)
+        v = pd_accel(od.y, zl[4:6], w, gait.pd_gains)
         u_raw = partitioned_torque(D, H, dw[0] - v[0], dw[1] - v[1])
         u = [min(max(ui, -cap), cap) for ui, cap in zip(u_raw, gait.torque_caps)]
         u2, u3 = u
         # D ddq = B u - H
         (ddq,) = solve_ddq(D, [[b2 * u2 + b3 * u3 - h
-                                 for (b2, b3), h in zip(terms.B.tolist(), H)]])
+                                 for (b2, b3), h in zip(B_SS, H)]])
         result = zl[3:6] + list(ddq) + dw, od, V, Gamma, u, u_raw
         self._last = (key, result)
         return result
@@ -255,6 +251,6 @@ class SsController:
         """Logged quantities at z, as copies that leave the kept result intact."""
         rate, od, V, Gamma, u, u_raw = self._pipeline(z)
         sat = any(abs(ui) > cap + 1e-12 for ui, cap in zip(u_raw, self.gait.torque_caps))
-        return SsSample(np.array(u), np.array(u_raw), od.y.copy(), od.dy.copy(), V,
-                        Gamma, np.array(z[6:8], dtype=float), od.h_d.copy(),
-                        od.dh_d_dt.copy(), od.s, sat, np.array(rate[3:6]))
+        return SsSample(np.array(u), np.array(u_raw), np.array(od.y), np.array(od.dy), V,
+                        Gamma, np.array(z[6:8], dtype=float), np.array(od.h_d),
+                        np.array(od.dh_d_dt), od.s, sat, np.array(rate[3:6]))

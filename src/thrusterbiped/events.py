@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import contact_kinematics, contact_solve, ext_dynamics
+from .dynamics import _finite, contact_kinematics, contact_solve, ext_dynamics
 from .errors import EventLocationError, SingularContactError, SingularImpactError
 from .params import ModelParams
 
@@ -113,15 +113,19 @@ def impact_map(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> Impact
     Solves the 9x9 momentum/constraint system
     ``[[D_e, -J^T], [J, 0]] [dq+; Lambda] = [D_e dq-; 0]``.
     """
-    q_e = np.asarray(q_e, dtype=float)
     dq_e = np.asarray(dq_e, dtype=float)
-    D = ext_dynamics(q_e, dq_e, params).D
-    J = contact_kinematics(q_e, dq_e, params).J
+    q = _finite("q_e", np.asarray(q_e, dtype=float).tolist())
+    dq = _finite("dq_e", dq_e.tolist())
+    D, _, _ = ext_dynamics(q, dq, params)
+    _, _, legs, _ = contact_kinematics(q, dq, params)
+    # the momentum D_e dq- as numpy's matrix-vector product rounds it
+    momentum = (np.array(D) @ dq_e).tolist()
     try:
-        dq_plus, impulse = contact_solve(D, J, D @ dq_e, np.zeros(4))
+        ((dq_plus, impulse),) = contact_solve(
+            D, legs, [(momentum, (0.0, 0.0, 0.0, 0.0))])
     except SingularContactError as exc:
         raise SingularImpactError("impact KKT system is numerically singular") from exc
-    return ImpactResult(dq_plus, impulse)
+    return ImpactResult(np.array(dq_plus), np.array(impulse))
 
 
 def relabel(q_e: np.ndarray, dq_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,12 @@ with ``theta = q1``.  A gait is the Bezier coefficients, the phase endpoints,
 tracking gains, and the actuation/state limits used by the reference
 governor.
 
-`output_data` runs on Python floats: the Bezier rows by de Casteljau with
-unrolled levels, and the drift and input columns by the dynamics'
-closed-form solve `solve_ddq`.  The single-support controller checks the
-decoupling matrix with `decoupling_or_raise` on its rows as floats.  A gait
-keeps its gains, diag(P^-1) and limits as floats for that controller.
+`output_data` takes and returns Python floats: the Bezier rows come by de
+Casteljau with unrolled levels, and the drift and input columns by the
+dynamics' closed-form solve `solve_ddq`.  The single-support controller
+checks the decoupling matrix with `decoupling_or_raise` on its rows as
+floats.  A gait keeps its gains, diag(P^-1) and limits as floats for that
+controller.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DynTerms, solve_ddq, ss_dynamics
+from .dynamics import B_SS, DynTerms, solve_ddq, ss_dynamics
 from .errors import DecouplingSingularityError, GaitDesignError
 from .params import ModelParams
 
 BEZIER_DEGREE = 5
+_B_COLS = tuple(zip(*B_SS))  # the input columns of the pinned model
 
 
 @dataclass
@@ -83,15 +85,16 @@ class PhaseData(NamedTuple):
 
 
 class OutputData(NamedTuple):
-    y: np.ndarray        # (2,) tracking error of the actuated coordinates
-    dy: np.ndarray       # (2,) its time derivative along the flow
-    Lf2h: np.ndarray     # (2,) drift part of ddy
-    LgLfh: np.ndarray    # (2, 2) input map of ddy
-    h_d: np.ndarray      # (2,)
-    dh_d_dt: np.ndarray  # (2,)
-    s: float             # clamped phase used for evaluation
-    s_raw: float         # unclamped phase
-    dh_ds: np.ndarray    # (2,) slope at the evaluation phase
+    """Python floats; each pair is one entry per actuated row (q2, q3)."""
+
+    y: tuple        # tracking error of the actuated coordinates
+    dy: tuple       # its time derivative along the flow
+    Lf2h: tuple     # drift part of ddy
+    LgLfh: tuple    # input map of ddy, two rows of two
+    h_d: tuple
+    dh_d_dt: tuple
+    s: float        # clamped phase used for evaluation
+    s_raw: float    # unclamped phase
 
 
 def _control_points(coeffs: np.ndarray) -> tuple:
@@ -168,10 +171,7 @@ def phase(q1: float, gait: GaitParams) -> PhaseData:
 
 
 def output_data(
-    x_s: np.ndarray,
-    gait: GaitParams,
-    params: ModelParams,
-    terms: DynTerms | None = None,
+    x_s, gait: GaitParams, params: ModelParams, terms: DynTerms | None = None
 ) -> OutputData:
     """Tracking outputs and their Lie derivatives at a single-support state.
 
@@ -180,10 +180,10 @@ def output_data(
     keep the endpoint tangent (a hard zero-slope switch would step the torque
     during small phase overshoots before touchdown).  One closed-form solve
     D^-1 [-H, B] gives the drift and input columns of the joint
-    accelerations; the rest is evaluated on Python floats.
+    accelerations.  x_s is six Python floats, and ``terms`` the
+    `ss_dynamics` of that state if the caller has them.
     """
-    x_s = np.asarray(x_s, dtype=float)
-    q1, q2, q3, dq1, dq2, dq3 = x_s.tolist()
+    q1, q2, q3, dq1, dq2, dq3 = x_s
     if terms is None:
         terms = ss_dynamics(x_s[:3], x_s[3:], params)
 
@@ -193,23 +193,20 @@ def output_data(
     sp = ph.ds_dtheta
 
     (f1, f2, f3), (g11, g21, g31), (g12, g22, g32) = solve_ddq(
-        terms.D.tolist(), [[-v for v in terms.H.tolist()], *terms.B.T.tolist()])
+        terms.D, [[-v for v in terms.H], *_B_COLS])
 
     a2, a3 = dh2 * sp, dh3 * sp
     sdot = sp * dq1
     dh_dt2, dh_dt3 = dh2 * sdot, dh3 * sdot
     return OutputData(
-        y=np.array([q2 - h2, q3 - h3]),
-        dy=np.array([dq2 - dh_dt2, dq3 - dh_dt3]),
-        Lf2h=np.array([f2 - a2 * f1 - dd2 * sdot ** 2,
-                       f3 - a3 * f1 - dd3 * sdot ** 2]),
-        LgLfh=np.array([[g21 - a2 * g11, g22 - a2 * g12],
-                        [g31 - a3 * g11, g32 - a3 * g12]]),
-        h_d=np.array([h2, h3]),
-        dh_d_dt=np.array([dh_dt2, dh_dt3]),
+        y=(q2 - h2, q3 - h3),
+        dy=(dq2 - dh_dt2, dq3 - dh_dt3),
+        Lf2h=(f2 - a2 * f1 - dd2 * sdot ** 2, f3 - a3 * f1 - dd3 * sdot ** 2),
+        LgLfh=((g21 - a2 * g11, g22 - a2 * g12), (g31 - a3 * g11, g32 - a3 * g12)),
+        h_d=(h2, h3),
+        dh_d_dt=(dh_dt2, dh_dt3),
         s=s,
         s_raw=ph.s,
-        dh_ds=np.array([dh2, dh3]),
     )
 
 
@@ -232,8 +229,9 @@ def decoupling_or_raise(W: list) -> None:
 
 def zero_dynamics_residual(x_s: np.ndarray, gait: GaitParams, params: ModelParams) -> float:
     """Squared distance from the tracking manifold: ||y||^2 + ||dy||^2."""
-    od = output_data(x_s, gait, params)
-    return float(od.y @ od.y + od.dy @ od.dy)
+    od = output_data(np.asarray(x_s, dtype=float).tolist(), gait, params)
+    y, dy = np.array(od.y), np.array(od.dy)
+    return float(y @ y + dy @ dy)
 
 
 @dataclass

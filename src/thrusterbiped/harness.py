@@ -218,12 +218,12 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
         new_stance = np.array(
             [stance[0] + swing_foot_pinned(x_pre[:3], params)[0], 0.0])
 
-        x_post = np.concatenate([q_e2[:3], dq_e2[:3]])
+        x_post = q_e2[:3].tolist() + dq_e2[:3].tolist()
         od_post = output_data(x_post, gait, params)
         log.rows.append([
             t, "IMPACT", *q_e2.tolist(), *dq_e2.tolist(),
             NAN, NAN, NAN, NAN, NAN, NAN, NAN,
-            *od_post.y.tolist(), *od_post.dy.tolist(),
+            *od_post.y, *od_post.dy,
             NAN, NAN, NAN, NAN, od_post.s_raw,
         ])
         residual_post = zero_dynamics_residual(x_post, gait, params)
@@ -245,7 +245,7 @@ def run_walk(cfg: ScenarioConfig, start_state: np.ndarray | None = None) -> Gait
             od = output_data(xi[:3] + xi[5:8], gait, params)
             log.rows.append([
                 t + ti, "DS", *xi, *etai, *lami,
-                *od.y.tolist(), *od.dy.tolist(),
+                *od.y, *od.dy,
                 NAN, NAN, NAN, NAN, od.s_raw,
             ])
             min_lam_n = min(min_lam_n, lami[1], lami[3])

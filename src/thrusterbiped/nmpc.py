@@ -17,8 +17,8 @@ solve at the base point gives the exact thrust/torque columns and every
 velocity-perturbed column; only the q1..q3 perturbations solve on their own,
 and the hip-position columns are exactly zero.  `ds_rhs`, the sweep and the
 RK4 substeps of `simulate_ds` run on Python floats from the state to the
-forces: they call the float cores of `dynamics` directly and build numpy
-arrays only for their results.
+forces: they call `dynamics`' float functions and build numpy arrays only
+for their results.
 
 Consecutive samples end on nearly the same QP rows, so the controller hot
 starts each QP (as qpOASES does; Ferreau et al. 2014) from the previous
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _contact_core, _contact_terms, _ext_terms, _finite
+from .dynamics import _finite, contact_kinematics, contact_solve, ext_dynamics
 from .params import ModelParams
 from .qp import INFEASIBLE, OPTIMAL, QpSolution, solve_qp
 
@@ -61,14 +61,15 @@ class DsForces(NamedTuple):
 def _ds_system(vals: list[float], params: ModelParams):
     """The contact system at the state ``vals``, on Python floats.
 
-    Returns D's rows, J's leg entries, H, the thrust direction and the
+    Returns D's rows, J's leg block, H, the thrust direction and the
     contact right-hand side -Jdot qdot - d J qdot, whose damping at rate
     `params.d` keeps long integrations on the contact manifold.
     """
     q = _finite("q_e", vals[:5])
     dq = _finite("dq_e", vals[5:])
-    D, H, thrust = _ext_terms(q, dq, params)
-    _, _, (j0, j1, j2, j3), jdq = _contact_terms(q, dq, params)
+    D, H, thrust = ext_dynamics(q, dq, params)
+    _, _, legs, jdq = contact_kinematics(q, dq, params)
+    j0, _, j1, _, j2, _, j3, _ = legs
     v1, v2, _, v4, v5 = dq
     d = params.d
     # J dq with each row's terms t0..t4 grouped as numpy's float64
@@ -80,7 +81,6 @@ def _ds_system(vals: list[float], params: ModelParams):
         -jdq[2] - d * (j2 * v1 + (j2 * v2 + v4)),
         -jdq[3] - d * (j3 * v1 + j3 * v2 + v5),
     )
-    legs = (j0, 0.0, j1, 0.0, j2, j2, j3, j3)
     return D, legs, H, thrust, con
 
 
@@ -97,7 +97,7 @@ def ds_rhs(x_d: np.ndarray, eta: np.ndarray, params: ModelParams) -> DsForces:
 def _ds_forces(x: list[float], eta: list[float], params: ModelParams):
     """`ds_rhs` on Python floats: the (ddq, lam) tuples of one contact solve."""
     D, legs, H, thrust, con = _ds_system(x, params)
-    ((ddq, lam),) = _contact_core(D, legs, [(_input_rhs(H, thrust, eta), con)])
+    ((ddq, lam),) = contact_solve(D, legs, [(_input_rhs(H, thrust, eta), con)])
     return ddq, lam
 
 
@@ -163,7 +163,7 @@ def linearize_ds(
     for xs_j in moved[6:]:  # the velocity-moved states
         _, _, H_j, _, con_j = _ds_system(xs_j, params)
         cols.append((_input_rhs(H_j, thrust, etas), con_j))
-    out = _contact_core(D, legs, cols)
+    out = contact_solve(D, legs, cols)
     maps = np.array([ddq + lam for ddq, lam in out[:4]]).T
     G_ddq, lam_base, Le = maps[:5, 1:], maps[5:, 0], maps[5:, 1:]
     ddq0 = out[4][0]

@@ -3,8 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from thrusterbiped.config import default_scenario
-from thrusterbiped.dynamics import solve_ddq, ss_dynamics
+from thrusterbiped.dynamics import (
+    B_SS,
+    contact_kinematics,
+    contact_solve,
+    ext_dynamics,
+    solve_ddq,
+    ss_dynamics,
+)
 from thrusterbiped.gait import GaitDesignSpec, design_gait
 from thrusterbiped.harness import run_walk
 from thrusterbiped.params import ModelParams
@@ -58,6 +66,35 @@ def random_extended_state(rng, angle=0.5, rate=1.0):
     return q_e, dq_e
 
 
+def ss_arrays(q, dq, params):
+    """D and H of `ss_dynamics` at an array state, as arrays."""
+    D, H = ss_dynamics(np.asarray(q, dtype=float).tolist(),
+                       np.asarray(dq, dtype=float).tolist(), params)
+    return np.array(D), np.array(H)
+
+
+def ext_arrays(q_e, dq_e, params):
+    """D and H of `ext_dynamics` at an array state, as arrays."""
+    D, H, _ = ext_dynamics(np.asarray(q_e, dtype=float).tolist(),
+                           np.asarray(dq_e, dtype=float).tolist(), params)
+    return np.array(D), np.array(H)
+
+
+def contact_arrays(q_e, dq_e, params):
+    """p1, p2, the 4x5 J and Jdot qdot of `contact_kinematics`, as arrays."""
+    p1, p2, legs, jdot_qdot = contact_kinematics(
+        np.asarray(q_e, dtype=float).tolist(), np.asarray(dq_e, dtype=float).tolist(),
+        params)
+    return (np.array(p1), np.array(p2), oracles.contact_jacobian(legs),
+            np.array(jdot_qdot))
+
+
+def solve_columns(D, legs, rhs_dyn, rhs_con):
+    """`contact_solve` on the columns of two arrays; (x, lam) as arrays."""
+    out = contact_solve(D, legs, zip(rhs_dyn.T.tolist(), rhs_con.T.tolist()))
+    return np.array([x for x, _ in out]).T, np.array([lam for _, lam in out]).T
+
+
 def pinned_vector_field(x_s, u, params):
     """Single-support state derivative for x_s = [q, dq] under torque u.
 
@@ -65,7 +102,7 @@ def pinned_vector_field(x_s, u, params):
     ``f(x)`` for the integrators; D ddq = B u - H.
     """
     x_s = np.asarray(x_s, dtype=float)
-    terms = ss_dynamics(x_s[:3], x_s[3:], params)
-    rhs = terms.B @ np.asarray(u, dtype=float) - terms.H
-    (ddq,) = solve_ddq(terms.D.tolist(), [rhs.tolist()])
+    D, H = ss_dynamics(x_s[:3].tolist(), x_s[3:].tolist(), params)
+    rhs = np.array(B_SS) @ np.asarray(u, dtype=float) - np.array(H)
+    (ddq,) = solve_ddq(D, [rhs.tolist()])
     return np.concatenate([x_s[3:], ddq])

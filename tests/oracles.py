@@ -274,13 +274,13 @@ def ds_affine_maps(x_d, params):
     lam = lam0 + G_lam @ eta, from one contact solve with four right-hand
     sides: the free column and the three input columns of B.
     """
-    from thrusterbiped.dynamics import _contact_core
+    from thrusterbiped.dynamics import contact_solve
     from thrusterbiped.nmpc import _ds_system
 
     D, legs, H, (tx, ty), con = _ds_system(
         np.asarray(x_d, dtype=float).tolist(), params)
     zero = (0.0, 0.0, 0.0, 0.0)
-    out = _contact_core(D, legs, [
+    out = contact_solve(D, legs, [
         (tuple(-h for h in H), con),
         ((0.0, 1.0, 0.0, 0.0, 0.0), zero),
         ((0.0, 0.0, 1.0, 0.0, 0.0), zero),
@@ -395,7 +395,7 @@ def de_casteljau_numpy(coeffs: np.ndarray, s: float):
 
 def fbl_torque(od, v: np.ndarray) -> np.ndarray:
     """Exact feedback-linearizing torque: ddy = -v under this input."""
-    return np.linalg.solve(od.LgLfh, -(od.Lf2h + v))
+    return np.linalg.solve(np.array(od.LgLfh), -(np.array(od.Lf2h) + v))
 
 
 def constraint_rows(LgLfh: np.ndarray, Lf2h: np.ndarray, gait):
@@ -524,14 +524,12 @@ def reduced_step_completes(gait, params: ModelParams, theta_dot0: float,
     def accel(theta, theta_dot):
         s = min(max((theta - gait.theta_plus) * sp, 0.0), 1.0)
         h, dh, d2h = bezier_eval(gait.bezier, s)
-        q = np.array([theta, h[0], h[1]])
         dq_a = dh * (sp * theta_dot)
-        dq = np.array([theta_dot, dq_a[0], dq_a[1]])
-        terms = ss_dynamics(q, dq, params)
-        D0 = terms.D[0]
+        D, H = ss_dynamics([theta, *h.tolist()], [theta_dot, *dq_a.tolist()], params)
+        D0 = np.array(D[0])
         denom = D0[0] + D0[1:] @ (dh * sp)
         curv = D0[1:] @ (d2h * (sp * theta_dot) ** 2)
-        return -(terms.H[0] + curv) / denom
+        return -(H[0] + curv) / denom
 
     theta = gait.theta_plus
     theta_dot = theta_dot0
@@ -614,22 +612,41 @@ def kkt_residuals(P, q, G, h, z, duals) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # constrained accelerations by null-space elimination
 
-def ds_terms(q_e, dq_e, params: ModelParams):
-    """`ext_dynamics` with the thrust column appended to B: input (u2, u3, F_th).
+def contact_jacobian(legs) -> np.ndarray:
+    """The 4x5 two-foot contact Jacobian from the leg block that
+    `contact_kinematics` returns: no foot moves with the torso, and each
+    foot moves one-to-one with the hip."""
+    a00, a01, a10, a11, a20, a21, a30, a31 = legs
+    return np.array([
+        [a00, a01, 0.0, 1.0, 0.0],
+        [a10, a11, 0.0, 0.0, 1.0],
+        [a20, a21, 0.0, 1.0, 0.0],
+        [a30, a31, 0.0, 0.0, 1.0],
+    ])
 
-    The thrust column is J_p' f, with J_p the exact Jacobian of the torso
-    mass point and f the unit direction from that point toward the hip (see
-    `thrust_column_geometry` for the finite-difference form).
+
+def ds_terms(q_e, dq_e, params: ModelParams):
+    """D, H and the input matrix B of the unpinned model, as arrays.
+
+    D and H are `ext_dynamics`'; B maps (u2, u3, F_th): the joint torques
+    act on rows 1 and 2, and the thrust column is J_p' f, with J_p the exact
+    Jacobian of the torso mass point and f the unit direction from that
+    point toward the hip (see `thrust_column_geometry` for the
+    finite-difference form).
     """
     from thrusterbiped.dynamics import ext_dynamics
 
-    terms = ext_dynamics(q_e, dq_e, params)
+    D, H, _ = ext_dynamics(np.asarray(q_e, dtype=float).tolist(),
+                           np.asarray(dq_e, dtype=float).tolist(), params)
     a123 = q_e[0] + q_e[1] + q_e[2]
     f = np.array([sin(a123), -cos(a123)])
     Jp = np.zeros((2, 5))
     Jp[:, :3] = params.l_T * np.array([[-cos(a123)], [-sin(a123)]])
     Jp[:, 3:] = np.eye(2)
-    return terms._replace(B=np.column_stack([terms.B, Jp.T @ f]))
+    B = np.zeros((5, 3))
+    B[1, 0] = B[2, 1] = 1.0
+    B[:, 2] = Jp.T @ f
+    return np.array(D), np.array(H), B
 
 
 def ds_nullspace_accel(q, dq, eta, params):
@@ -641,19 +658,21 @@ def ds_nullspace_accel(q, dq, eta, params):
     """
     from thrusterbiped.dynamics import contact_kinematics
 
-    terms = ds_terms(q, dq, params)
-    ck = contact_kinematics(q, dq, params)
-    rhs_c = -ck.jdot_qdot - params.d * (ck.J @ dq)
+    D, H, B = ds_terms(q, dq, params)
+    _, _, legs, jdot_qdot = contact_kinematics(
+        np.asarray(q, dtype=float).tolist(), np.asarray(dq, dtype=float).tolist(),
+        params)
+    J = contact_jacobian(legs)
+    rhs_c = -np.array(jdot_qdot) - params.d * (J @ dq)
 
-    ddq_p = np.linalg.pinv(ck.J) @ rhs_c
-    _, _, Vt = np.linalg.svd(ck.J)
+    ddq_p = np.linalg.pinv(J) @ rhs_c
+    _, _, Vt = np.linalg.svd(J)
     Z = Vt[4:].T  # (5, 1) tangent direction of the contact manifold
-    M = Z.T @ terms.D @ Z
-    rhs = Z.T @ (terms.B @ eta - terms.H - terms.D @ ddq_p)
+    M = Z.T @ D @ Z
+    rhs = Z.T @ (B @ eta - H - D @ ddq_p)
     s = np.linalg.solve(M, rhs)
     ddq = ddq_p + Z @ s
-    lam, *_ = np.linalg.lstsq(ck.J.T, terms.D @ ddq + terms.H - terms.B @ eta,
-                              rcond=None)
+    lam, *_ = np.linalg.lstsq(J.T, D @ ddq + H - B @ eta, rcond=None)
     return ddq, lam
 
 

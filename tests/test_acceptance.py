@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import pinned_vector_field
+from conftest import contact_arrays, ext_arrays, pinned_vector_field, ss_arrays
 from test_events import impact_state
 from thrusterbiped.config import default_scenario
-from thrusterbiped.dynamics import contact_kinematics, energies, ext_dynamics, ss_dynamics
+from thrusterbiped.dynamics import energies
 from thrusterbiped.erg import GAMMA_CAP, constraint_data, gamma_bound
 from thrusterbiped.events import impact_map
 from thrusterbiped.gait import GaitDesignSpec, design_gait, output_data
@@ -235,8 +235,8 @@ def test_criterion_6a_impact_map_matches_momentum_projection():
     for _ in range(1000):
         q_e, dq_e = impact_state(rng, params)
         res = impact_map(q_e, dq_e, params)
-        D = ext_dynamics(q_e, dq_e, params).D
-        J = contact_kinematics(q_e, dq_e, params).J
+        D, _ = ext_arrays(q_e, dq_e, params)
+        _, _, J, _ = contact_arrays(q_e, dq_e, params)
         dq_plus, lam = oracles.impact_projection(D, J, dq_e)
         assert np.max(np.abs(res.dq_e_plus - dq_plus)) < 1e-9
         assert np.max(np.abs(res.lambda_imp - lam)) < 1e-9
@@ -247,11 +247,11 @@ def test_criterion_6b_mass_matrices_match_energy_hessians():
     rng = np.random.default_rng(7)
     for _ in range(50):
         q = rng.uniform(-0.5, 0.5, 3)
-        D = ss_dynamics(q, np.zeros(3), params).D
+        D, _ = ss_arrays(q, np.zeros(3), params)
         assert np.max(np.abs(D - oracles.mass_matrix_fd(q, params, ext=False))) < 1e-6
     for _ in range(20):
         q_e = np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-1, 1, 2)])
-        D = ext_dynamics(q_e, np.zeros(5), params).D
+        D, _ = ext_arrays(q_e, np.zeros(5), params)
         assert np.max(np.abs(D - oracles.mass_matrix_fd(q_e, params, ext=True))) < 1e-6
 
 
@@ -321,9 +321,9 @@ def test_criterion_6e_governor_bound_matches_the_distance_oracle():
     rng = np.random.default_rng(7)
     for i in range(50):
         x = np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5, 3)])
-        od = output_data(x, gait, params)
+        od = output_data(x.tolist(), gait, params)
         x_w = np.concatenate([od.h_d, rng.standard_normal(2)])
-        k2, k3, limits = constraint_data(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
+        k2, k3, limits = constraint_data(od.LgLfh, od.Lf2h, gait)
         got = gamma_bound(x_w.tolist(), k2, k3, limits, gait)
         C_x, C_w, C_limit, P = oracles.constraint_rows(od.LgLfh, od.Lf2h, gait)
         want = min(oracles.gamma_projection(x_w, C_x, C_w, C_limit, P), GAMMA_CAP)

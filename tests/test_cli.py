@@ -53,6 +53,12 @@ def test_validate_accepts_the_default_scenario(scenario, capsys):
     ("gait", "u_max", [-1.0, -1.0]),
     ("gait", "u_max", [0.0, 0.0]),
     ("gait", "x_max", [-1.2, -1.2, -10.0, -10.0]),
+    ("erg", "kappa", 0.0),
+    ("erg", "rate_cap", 0.0),
+    ("nmpc", "angle_max", -1.2),
+    ("nmpc", "rate_max", 0.0),
+    ("nmpc", "hip_box", -1.0),
+    ("nmpc", "eps_normal", -0.1),
 ])
 def test_validate_rejects_bad_configs(scenario, capsys, section, key, value):
     path = edited(scenario, section, key, value)
@@ -65,6 +71,55 @@ def test_validate_accepts_an_infinite_limit(scenario, capsys):
     path = edited(scenario, "nmpc", "rate_max", float("inf"))
     assert main(["validate", path, "--no-env"]) == EXIT_OK
     assert capsys.readouterr().out == "config ok\n"
+
+
+def with_text_at(path, field, entry, text):
+    """Write ``text`` verbatim as the JSON value of ``field`` (at ``entry``
+    of a list field)."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    section, key = field.split(".")
+    if entry is None:
+        data[section][key] = "@"
+    else:
+        *outer, last = entry
+        target = data[section][key]
+        for i in outer:
+            target = target[i]
+        target[last] = "@"
+    path.write_text(json.dumps(data).replace('"@"', text), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("gait.u_max", (0,)), ("gait.x_max", (2,)), ("nmpc.angle_max", None),
+    ("nmpc.rate_max", None), ("nmpc.hip_box", None), ("model.f_th_max", None),
+])
+def test_validate_accepts_each_open_limit_at_infinity(scenario, capsys, field, entry):
+    # JSON reads 1e400 as +inf
+    path = with_text_at(scenario, field, entry, "1e400")
+    assert main(["validate", path, "--no-env"]) == EXIT_OK
+    assert capsys.readouterr().out == "config ok\n"
+
+
+@pytest.mark.parametrize("field, entry, text", [
+    ("gait.q3dot_start", None, "1e400"),
+    ("gait.bezier", (0, 2), "1e400"),
+    ("gait.theta_plus", None, "1e400"),
+    ("sim.ds_envelope", None, "1e400"),
+    ("gait.kp", (1,), "1e400"),
+    ("model.m_T", None, "1e400"),
+    ("model.f_th_max", None, "-1e400"),
+])
+def test_a_non_finite_value_is_a_config_error_before_simulating(
+        scenario, tmp_path, capsys, field, entry, text):
+    # outside the open limits, an infinity would crash or fell the run
+    path = with_text_at(scenario, field, entry, text)
+    assert main(["validate", path, "--no-env"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be finite")
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out), "--no-env"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be finite")
+    assert not out.exists()
 
 
 def test_run_rejects_a_nan_value_before_simulating(scenario, tmp_path, capsys):

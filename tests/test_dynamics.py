@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import pinned_vector_field, random_extended_state, random_pinned_state
+from conftest import (
+    contact_arrays,
+    ext_arrays,
+    pinned_vector_field,
+    random_extended_state,
+    random_pinned_state,
+    solve_columns,
+    ss_arrays,
+)
 from thrusterbiped.dynamics import (
-    _ext_terms,
+    B_SS,
     contact_kinematics,
     contact_solve,
     energies,
@@ -17,44 +25,64 @@ from thrusterbiped.dynamics import (
     ss_dynamics,
     swing_foot_pinned,
 )
-from thrusterbiped.nmpc import ds_rhs
 from thrusterbiped.errors import SingularContactError, SingularDynamicsError
+from thrusterbiped.gait import output_data
 from thrusterbiped.integrate import integrate_rk4
+from thrusterbiped.nmpc import ds_rhs
+
+# the joint-torque columns of the unpinned model's input matrix
+B_EXT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+
+
+def leaves(value):
+    """The scalars of a nest of tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            yield from leaves(v)
+    else:
+        yield value
+
+
+def test_the_model_layers_return_python_floats(params, gait, rng):
+    for _ in range(20):
+        q, dq = (v.tolist() for v in random_pinned_state(rng))
+        q_e, dq_e = random_extended_state(rng)
+        q_e[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
+        q_e, dq_e = q_e.tolist(), dq_e.tolist()
+        D, H, thrust = ext_dynamics(q_e, dq_e, params)
+        kinematics = contact_kinematics(q_e, dq_e, params)
+        cols = [(rng.standard_normal(5).tolist(), rng.standard_normal(4).tolist())
+                for _ in range(2)]
+        for result in (ss_dynamics(q, dq, params), output_data(q + dq, gait, params),
+                       (D, H, thrust), kinematics,
+                       contact_solve(D, kinematics[2], cols)):
+            values = list(leaves(result))
+            assert values and all(type(v) is float for v in values), result
 
 
 def test_mass_matrix_symmetric_at_zero(params):
-    D = ss_dynamics(np.zeros(3), np.zeros(3), params).D
+    D, _ = ss_arrays(np.zeros(3), np.zeros(3), params)
     assert np.array_equal(D, D.T)
-    De = ext_dynamics(np.zeros(5), np.zeros(5), params).D
+    De, _ = ext_arrays(np.zeros(5), np.zeros(5), params)
     assert np.array_equal(De, De.T)
 
 
 def test_solve_ddq_matches_a_pivoted_lu_solve(params, rng):
     for _ in range(200):
         q, dq = random_pinned_state(rng, angle=1.5, rate=3.0)
-        terms = ss_dynamics(q, dq, params)
+        D, _ = ss_dynamics(q.tolist(), dq.tolist(), params)
         rhs = rng.standard_normal((3, 3))
-        got = np.array(solve_ddq(terms.D.tolist(), rhs.T.tolist())).T
-        want = np.linalg.solve(terms.D, rhs)
+        got = np.array(solve_ddq(D, rhs.T.tolist())).T
+        want = np.linalg.solve(np.array(D), rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", ["q", "dq"])
 def test_ss_dynamics_rejects_non_finite_states(params, name):
-    state = {"q": np.zeros(3), "dq": np.zeros(3)}
-    state[name][1] = np.nan
+    state = {"q": [0.0] * 3, "dq": [0.0] * 3}
+    state[name][1] = float("nan")
     with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
         ss_dynamics(state["q"], state["dq"], params)
-
-
-@pytest.mark.parametrize("fn", [ext_dynamics, contact_kinematics])
-@pytest.mark.parametrize("name", ["q_e", "dq_e"])
-def test_extended_terms_reject_non_finite_states(params, fn, name):
-    for bad in (np.nan, np.inf):
-        state = {"q_e": np.zeros(5), "dq_e": np.zeros(5)}
-        state[name][3] = bad
-        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
-            fn(state["q_e"], state["dq_e"], params)
 
 
 def test_solve_ddq_rejects_a_singular_mass_matrix():
@@ -68,7 +96,7 @@ def test_solve_ddq_rejects_a_singular_mass_matrix():
 def test_pinned_mass_matrix_matches_energy_hessian(params, rng):
     for _ in range(20):
         q, dq = random_pinned_state(rng)
-        D = ss_dynamics(q, dq, params).D
+        D, _ = ss_arrays(q, dq, params)
         D_fd = oracles.mass_matrix_fd(q, params, ext=False)
         assert np.max(np.abs(D - D_fd)) < 1e-6
 
@@ -76,7 +104,7 @@ def test_pinned_mass_matrix_matches_energy_hessian(params, rng):
 def test_extended_mass_matrix_matches_energy_hessian(params, rng):
     for _ in range(10):
         q_e, dq_e = random_extended_state(rng)
-        D = ext_dynamics(q_e, dq_e, params).D
+        D, _ = ext_arrays(q_e, dq_e, params)
         D_fd = oracles.mass_matrix_fd(q_e, params, ext=True)
         assert np.max(np.abs(D - D_fd)) < 1e-6
 
@@ -84,17 +112,17 @@ def test_extended_mass_matrix_matches_energy_hessian(params, rng):
 def test_gravity_vector_matches_potential_gradient(params, rng):
     for _ in range(20):
         q, _ = random_pinned_state(rng)
-        H = ss_dynamics(q, np.zeros(3), params).H
+        _, H = ss_arrays(q, np.zeros(3), params)
         assert np.max(np.abs(H - oracles.gravity_fd(q, params, ext=False))) < 1e-6
     for _ in range(10):
         q_e, _ = random_extended_state(rng)
-        H = ext_dynamics(q_e, np.zeros(5), params).H
+        _, H = ext_arrays(q_e, np.zeros(5), params)
         assert np.max(np.abs(H - oracles.gravity_fd(q_e, params, ext=True))) < 1e-6
 
 
 def test_hip_translation_inertia_is_total_mass(params, rng):
     q_e, dq_e = random_extended_state(rng)
-    D = ext_dynamics(q_e, dq_e, params).D
+    D, _ = ext_arrays(q_e, dq_e, params)
     assert abs(params.total_mass - 0.7) < 1e-12
     assert np.max(np.abs(D[3:, 3:] - 0.7 * np.eye(2))) < 1e-12
 
@@ -106,13 +134,13 @@ def test_zero_rates_give_zero_kinetic_and_pure_gravity(params, rng):
     q_e, _ = random_extended_state(rng)
     K_e, _ = energies(q_e, np.zeros(5), params, "extended")
     assert K_e == 0.0
-    H = ext_dynamics(q_e, np.zeros(5), params).H
+    _, H = ext_arrays(q_e, np.zeros(5), params)
     assert np.max(np.abs(H - oracles.gravity_fd(q_e, params, ext=True))) < 1e-6
 
 
 def thrust_column(q_e, params):
-    """The thrust column of the DS input matrix: the hip rows of `_ext_terms`."""
-    _, _, (tx, ty) = _ext_terms(q_e.tolist(), [0.0] * 5, params)
+    """The thrust column of the DS input matrix: the hip rows of `ext_dynamics`."""
+    _, _, (tx, ty) = ext_dynamics(q_e.tolist(), [0.0] * 5, params)
     return np.array([0.0, 0.0, 0.0, tx, ty])
 
 
@@ -139,10 +167,11 @@ def test_ds_terms_reduce_to_extended_terms(params, rng):
         q_e, dq_e = random_extended_state(rng)
         q_e[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
         u = rng.uniform(-3.0, 3.0, 2)
-        terms = ext_dynamics(q_e, dq_e, params)
-        ck = contact_kinematics(q_e, dq_e, params)
-        rhs_con = -ck.jdot_qdot - params.d * (ck.J @ dq_e)
-        ddq, lam = contact_solve(terms.D, ck.J, terms.B @ u - terms.H, rhs_con)
+        D, H = ext_arrays(q_e, dq_e, params)
+        _, _, legs, jdot_qdot = contact_kinematics(q_e.tolist(), dq_e.tolist(), params)
+        rhs_con = -np.array(jdot_qdot) - params.d * (oracles.contact_jacobian(legs) @ dq_e)
+        x, lam = solve_columns(D.tolist(), legs, (B_EXT @ u - H)[:, None], rhs_con[:, None])
+        ddq, lam = x[:, 0], lam[:, 0]
         forces = ds_rhs(np.concatenate([q_e, dq_e]), np.append(u, 0.0), params)
         assert np.allclose(forces.ddq, ddq, rtol=1e-12, atol=1e-12)
         assert np.allclose(forces.lam, lam, rtol=1e-12, atol=1e-12)
@@ -150,17 +179,17 @@ def test_ds_terms_reduce_to_extended_terms(params, rng):
 
 def test_coincident_legs_have_coincident_feet(params):
     q_e = np.array([0.2, 0.0, 0.1, 0.05, 0.61])
-    ck = contact_kinematics(q_e, np.zeros(5), params)
-    assert np.max(np.abs(ck.p1 - ck.p2)) < 1e-15
+    p1, p2, _, _ = contact_arrays(q_e, np.zeros(5), params)
+    assert np.max(np.abs(p1 - p2)) < 1e-15
 
 
 def test_contact_jacobian_matches_position_differences(params, rng):
     for _ in range(1000):
         q_e, dq_e = random_extended_state(rng)
-        ck = contact_kinematics(q_e, dq_e, params)
+        _, _, J, _ = contact_arrays(q_e, dq_e, params)
         J_fd = oracles.fd_jacobian(
             lambda qq: oracles.foot_points_ext(qq, params), q_e)
-        assert np.max(np.abs(ck.J - J_fd)) < 1e-5
+        assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
 def test_contact_velocity_product_matches_flow_difference(params, rng):
@@ -179,14 +208,14 @@ def test_contact_velocity_product_matches_flow_difference(params, rng):
 
     def Jqdot(t):
         q, dq, _ = path(t)
-        return contact_kinematics(q, dq, params).J @ dq
+        return contact_arrays(q, dq, params)[2] @ dq
 
     for t0 in (0.0, 0.4, 1.1):
         q, dq, ddq = path(t0)
-        ck = contact_kinematics(q, dq, params)
+        _, _, J, jdot_qdot = contact_arrays(q, dq, params)
         d = 1e-4
-        flow = (Jqdot(t0 + d) - Jqdot(t0 - d)) / (2.0 * d) - ck.J @ ddq
-        assert np.max(np.abs(flow - ck.jdot_qdot)) < 1e-4
+        flow = (Jqdot(t0 + d) - Jqdot(t0 - d)) / (2.0 * d) - J @ ddq
+        assert np.max(np.abs(flow - jdot_qdot)) < 1e-4
 
 
 def test_upright_potential_energy_value(params):
@@ -239,8 +268,8 @@ def test_vector_field_satisfies_dynamics_residual(params, rng):
         q, dq = random_pinned_state(rng)
         u = rng.uniform(-3.0, 3.0, size=2)
         out = pinned_vector_field(np.concatenate([q, dq]), u, params)
-        terms = ss_dynamics(q, dq, params)
-        residual = terms.D @ out[3:] + terms.H - terms.B @ u
+        D, H = ss_arrays(q, dq, params)
+        residual = D @ out[3:] + H - np.array(B_SS) @ u
         assert np.max(np.abs(residual)) < 1e-10
         assert np.array_equal(out[:3], dq)
 
@@ -248,8 +277,8 @@ def test_vector_field_satisfies_dynamics_residual(params, rng):
 def test_unforced_acceleration_is_negative_solve(params, rng):
     q, dq = random_pinned_state(rng)
     out = pinned_vector_field(np.concatenate([q, dq]), np.zeros(2), params)
-    terms = ss_dynamics(q, dq, params)
-    assert np.max(np.abs(out[3:] + np.linalg.solve(terms.D, terms.H))) < 1e-12
+    D, H = ss_arrays(q, dq, params)
+    assert np.max(np.abs(out[3:] + np.linalg.solve(D, H))) < 1e-12
 
 
 def test_pinned_field_matches_constrained_formulation(params, rng):
@@ -261,14 +290,14 @@ def test_pinned_field_matches_constrained_formulation(params, rng):
         ddq_pinned = pinned_vector_field(np.concatenate([q, dq]), u, params)[3:]
 
         q_e, dq_e = extend_pinned_state(q, dq, np.zeros(2), params)
-        terms = ext_dynamics(q_e, dq_e, params)
-        ck = contact_kinematics(q_e, dq_e, params)
-        J1 = ck.J[:2]
+        D, H = ext_arrays(q_e, dq_e, params)
+        _, _, J, jdot_qdot = contact_arrays(q_e, dq_e, params)
+        J1 = J[:2]
         kkt = np.zeros((7, 7))
-        kkt[:5, :5] = terms.D
+        kkt[:5, :5] = D
         kkt[:5, 5:] = -J1.T
         kkt[5:, :5] = J1
-        rhs = np.concatenate([terms.B @ u - terms.H, -ck.jdot_qdot[:2]])
+        rhs = np.concatenate([B_EXT @ u - H, -jdot_qdot[:2]])
         ddq_e = np.linalg.solve(kkt, rhs)[:5]
         assert np.max(np.abs(ddq_e[:3] - ddq_pinned)) < 1e-8
 
@@ -306,26 +335,28 @@ def test_hip_velocity_is_the_rate_of_the_hip_position(params, rng):
 
 def test_contact_solve_meets_both_blocks_and_rejects_dependent_rows(params, rng):
     q_e, dq_e = random_extended_state(rng)
-    D = ext_dynamics(q_e, dq_e, params).D
-    J = contact_kinematics(q_e, dq_e, params).J
+    D, _, _ = ext_dynamics(q_e.tolist(), dq_e.tolist(), params)
+    legs = contact_kinematics(q_e.tolist(), dq_e.tolist(), params)[2]
+    J = oracles.contact_jacobian(legs)
     rhs_dyn = rng.standard_normal((5, 3))
     rhs_con = rng.standard_normal((4, 3))
-    x, lam = contact_solve(D, J, rhs_dyn, rhs_con)
-    assert np.max(np.abs(D @ x - J.T @ lam - rhs_dyn)) < 1e-10
+    x, lam = solve_columns(D, legs, rhs_dyn, rhs_con)
+    assert np.max(np.abs(np.array(D) @ x - J.T @ lam - rhs_dyn)) < 1e-10
     assert np.max(np.abs(J @ x - rhs_con)) < 1e-10
+    # both feet on the first foot's rows: the legs are collinear
     with pytest.raises(SingularContactError):
-        contact_solve(D, np.vstack([J[:2], J[:2]]), rhs_dyn, rhs_con)
+        solve_columns(D, legs[:4] * 2, rhs_dyn, rhs_con)
 
 
 def test_mass_matrices_positive_definite(params, rng):
     for _ in range(10000):
         q = rng.uniform(-np.pi, np.pi, size=3)
-        D = ss_dynamics(q, np.zeros(3), params).D
+        D, _ = ss_arrays(q, np.zeros(3), params)
         assert np.all(np.linalg.eigvalsh(D) > 0.0)
     for _ in range(1000):
         q_e, _ = random_extended_state(rng)
         q_e[:3] = rng.uniform(-np.pi, np.pi, size=3)
-        De = ext_dynamics(q_e, np.zeros(5), params).D
+        De, _ = ext_arrays(q_e, np.zeros(5), params)
         assert np.all(np.linalg.eigvalsh(De) > 0.0)
 
 
@@ -338,8 +369,8 @@ def test_pinned_inertia_ignores_absolute_angle(params, rng):
         qm = q.copy()
         qp[0] += d
         qm[0] -= d
-        diff = (ss_dynamics(qp, np.zeros(3), params).D
-                - ss_dynamics(qm, np.zeros(3), params).D) / (2.0 * d)
+        diff = (ss_arrays(qp, np.zeros(3), params)[0]
+                - ss_arrays(qm, np.zeros(3), params)[0]) / (2.0 * d)
         assert np.max(np.abs(diff)) < 1e-8
 
 
@@ -370,27 +401,16 @@ def test_power_balance_along_forced_motion(params):
 def test_contact_solve_matches_the_dense_kkt_solve(params, rng):
     for _ in range(200):
         q_e, dq_e = random_extended_state(rng)
-        D = ext_dynamics(q_e, dq_e, params).D
-        J = contact_kinematics(q_e, dq_e, params).J
+        D, _, _ = ext_dynamics(q_e.tolist(), dq_e.tolist(), params)
+        legs = contact_kinematics(q_e.tolist(), dq_e.tolist(), params)[2]
+        J = oracles.contact_jacobian(legs)
         for rhs_dyn, rhs_con in (
-            (rng.standard_normal(5), rng.standard_normal(4)),
+            (rng.standard_normal((5, 1)), rng.standard_normal((4, 1))),
             (rng.standard_normal((5, 4)), rng.standard_normal((4, 4))),
         ):
-            x, lam = contact_solve(D, J, rhs_dyn, rhs_con)
-            x_ref, lam_ref = oracles.contact_solve_dense(D, J, rhs_dyn, rhs_con)
+            x, lam = solve_columns(D, legs, rhs_dyn, rhs_con)
+            x_ref, lam_ref = oracles.contact_solve_dense(np.array(D), J, rhs_dyn,
+                                                         rhs_con)
             assert x.shape == x_ref.shape and lam.shape == lam_ref.shape
             assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
             assert np.max(np.abs(lam - lam_ref)) <= 1e-10 * np.max(np.abs(lam_ref))
-
-
-def test_contact_solve_rejects_a_jacobian_without_the_model_structure(params, rng):
-    q_e, dq_e = random_extended_state(rng)
-    D = ext_dynamics(q_e, dq_e, params).D
-    J = contact_kinematics(q_e, dq_e, params).J
-    torso = J.copy()
-    torso[1, 2] = 0.1  # a foot that moves with the torso
-    hip = J.copy()
-    hip[2, 3] = 2.0
-    for bad in (torso, hip, J[:3]):
-        with pytest.raises(ValueError, match="zero torso column and unit hip"):
-            contact_solve(D, bad, np.ones(5), np.ones(4))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import pinned_vector_field, random_pinned_state
+from conftest import pinned_vector_field, random_pinned_state, ss_arrays
 from test_gait import on_manifold_state
 from thrusterbiped import erg
-from thrusterbiped.dynamics import solve_ddq, ss_dynamics
+from thrusterbiped.dynamics import B_SS, solve_ddq, ss_dynamics
 from thrusterbiped.erg import (
     GAMMA_CAP,
     SsController,
@@ -33,8 +33,8 @@ def rand_x(rng, angle=0.5, rate=1.0):
 
 
 def torque_rows(od, gait):
-    """`constraint_data` of an output evaluation, from its arrays."""
-    return constraint_data(od.LgLfh.tolist(), od.Lf2h.tolist(), gait)
+    """`constraint_data` of an output evaluation."""
+    return constraint_data(od.LgLfh, od.Lf2h, gait)
 
 
 def gamma_of(x_w, od, gait):
@@ -54,10 +54,10 @@ def test_pd_accel_is_the_diagonal_law(rng, gait):
 def test_fbl_torque_inverts_the_input_map(rng, gait, params):
     for _ in range(100):
         x = rand_x(rng)
-        od = output_data(x, gait, params)
+        od = output_data(x.tolist(), gait, params)
         v = rng.standard_normal(2)
         u = oracles.fbl_torque(od, v)
-        assert np.max(np.abs(od.LgLfh @ u + od.Lf2h + v)) < 1e-9
+        assert np.max(np.abs(np.array(od.LgLfh) @ u + od.Lf2h + v)) < 1e-9
 
 
 def test_torque_rows_encode_the_exact_torque_box(rng, gait, params):
@@ -67,13 +67,13 @@ def test_torque_rows_encode_the_exact_torque_box(rng, gait, params):
     for _ in range(50):
         x = rand_x(rng)
         w = rng.standard_normal(2)
-        od = output_data(x, gait, params)
+        od = output_data(x.tolist(), gait, params)
         k2, k3, limits = torque_rows(od, gait)
         K = np.array([k2, k3, [-v for v in k2], [-v for v in k3]])
         e = x_a_of(x) - np.concatenate([od.h_d, w])
         rows = K @ e + np.array(limits)
 
-        v = pd_accel(od.y.tolist(), x[4:6].tolist(), w.tolist(), gait.pd_gains)
+        v = pd_accel(od.y, x[4:6].tolist(), w.tolist(), gait.pd_gains)
         u_fbl = oracles.fbl_torque(od, np.array(v))
         scale = 1.0 + np.max(np.abs(u_fbl))
         assert np.max(np.abs(rows[0:2] - (gait.u_max - u_fbl))) < 1e-9 * scale
@@ -84,7 +84,7 @@ def test_torque_rows_match_the_numpy_rows(rng, gait, params):
     # the adjugate W^-1 of constraint_data and np.linalg.inv round apart:
     # by a few ulp, amplified by the condition number of W
     for _ in range(200):
-        od = output_data(rand_x(rng), gait, params)
+        od = output_data(rand_x(rng).tolist(), gait, params)
         k2, k3, limits = torque_rows(od, gait)
         C_x, _, C_limit, _ = oracles.constraint_rows(od.LgLfh, od.Lf2h, gait)
         tol = 4.0 * np.finfo(float).eps * np.linalg.cond(od.LgLfh)
@@ -98,7 +98,7 @@ def test_torque_rows_match_the_numpy_rows(rng, gait, params):
 def test_rows_positive_on_the_designed_gait(gait, params):
     for s in (0.1, 0.5, 0.9):
         x = on_manifold_state(gait, s, -0.9)
-        od = output_data(x, gait, params)
+        od = output_data(x.tolist(), gait, params)
         # on the manifold with w = dh_d/dt the tracking error is zero, so
         # the torque rows are their limits and the state rows x_max -+ x_a
         assert np.max(np.abs(x_a_of(x) - np.concatenate([od.h_d, od.dh_d_dt]))) < 1e-12
@@ -179,7 +179,7 @@ def test_gamma_matches_projection_oracle(rng, gait, params):
 
     for _ in range(20):
         x = rand_x(rng, angle=0.3, rate=0.5)
-        od = output_data(x, gait, params)
+        od = output_data(x.tolist(), gait, params)
         x_w = np.concatenate([od.h_d, rng.standard_normal(2)])
         got = gamma_of(x_w, od, gait)
         rows = oracles.constraint_rows(od.LgLfh, od.Lf2h, gait)
@@ -192,7 +192,7 @@ def test_gamma_level_set_stays_inside_the_rows(rng, gait, params):
     checked = 0
     while checked < 20:
         x = rand_x(rng, angle=0.3, rate=0.5)
-        od = output_data(x, gait, params)
+        od = output_data(x.tolist(), gait, params)
         x_w = np.concatenate([od.h_d, 0.3 * rng.standard_normal(2)])
         g = gamma_of(x_w, od, gait)
         if g <= 0.0 or g >= GAMMA_CAP:
@@ -247,8 +247,7 @@ def test_partitioned_torque_matches_direct_solve(rng, params):
         x = rand_x(rng)
         dw = rng.standard_normal(2)
         v = rng.standard_normal(2)
-        terms = ss_dynamics(x[:3], x[3:], params)
-        D, H = terms.D, terms.H
+        D, H = ss_arrays(x[:3], x[3:], params)
 
         # unknowns (ddq1, u2, u3) with the actuated accelerations pinned
         M = np.array([[D[0, 0], 0.0, 0.0],
@@ -260,19 +259,18 @@ def test_partitioned_torque_matches_direct_solve(rng, params):
         u = np.array(partitioned_torque(D.tolist(), H.tolist(), *(dw - v).tolist()))
         assert np.max(np.abs(u - u_ref)) < 1e-8 * (1.0 + np.max(np.abs(u_ref)))
 
-        ddq = np.linalg.solve(D, terms.B @ u - H)
+        ddq = np.linalg.solve(D, np.array(B_SS) @ u - H)
         assert np.max(np.abs(ddq[1:] - (dw - v))) < 1e-8
 
 
 def test_partitioned_torque_drift_term(rng, params):
     for _ in range(50):
         x = rand_x(rng)
-        terms = ss_dynamics(x[:3], x[3:], params)
-        D, H = terms.D, terms.H
+        D, H = ss_arrays(x[:3], x[3:], params)
         u = np.array(partitioned_torque(D.tolist(), H.tolist(), 0.0, 0.0))
         beta2 = H[1:] - D[1:, 0] * (H[0] / D[0, 0])
         assert np.max(np.abs(u - beta2)) < 1e-10 * (1.0 + np.max(np.abs(beta2)))
-        ddq = np.linalg.solve(D, terms.B @ u - H)
+        ddq = np.linalg.solve(D, np.array(B_SS) @ u - H)
         assert np.max(np.abs(ddq[1:])) < 1e-9
 
 
@@ -288,10 +286,10 @@ def test_initial_w_starts_with_zero_velocity_error(rng, gait, params):
     x = rand_x(rng, angle=0.3, rate=0.5)
     w = ctrl.initial_w(x)
     assert np.array_equal(w, x[4:6])
-    od = output_data(x, gait, params)
+    od = output_data(x.tolist(), gait, params)
     V = lyapunov_value((x_a_of(x) - np.concatenate([od.h_d, w])).tolist(),
                        gait.tracking_metric)
-    want = 0.5 * gait.kp @ od.y ** 2
+    want = 0.5 * gait.kp @ np.array(od.y) ** 2
     assert abs(V - want) < 1e-12 * (1.0 + want)
 
 
@@ -365,19 +363,18 @@ def test_pipeline_is_the_composition_of_the_layer_functions(rng, gait, params, c
             smp = ctrl.sample(z)
         except DecouplingSingularityError:
             continue
-        terms = ss_dynamics(x[:3], x[3:], params)
-        od = output_data(x, gait, params, terms=terms)
+        terms = ss_dynamics(x[:3].tolist(), x[3:].tolist(), params)
+        od = output_data(x.tolist(), gait, params, terms=terms)
         k2, k3, limits = torque_rows(od, gait)
-        x_w = od.h_d.tolist() + w
+        x_w = [*od.h_d, *w]
         V = lyapunov_value((x_a_of(x) - np.array(x_w)).tolist(), gait.tracking_metric)
         Gamma = gamma_bound(x_w, k2, k3, limits, gait)
-        dw = governor_rate(w, od.dh_d_dt.tolist(), Gamma - V, ctrl.kappa,
+        dw = governor_rate(w, od.dh_d_dt, Gamma - V, ctrl.kappa,
                            ctrl.rate_cap, ctrl.sign_eps) if governed else [0.0, 0.0]
-        v = pd_accel(od.y.tolist(), x[4:6].tolist(), w, gait.pd_gains)
-        u_raw = partitioned_torque(terms.D.tolist(), terms.H.tolist(),
-                                   dw[0] - v[0], dw[1] - v[1])
+        v = pd_accel(od.y, x[4:6].tolist(), w, gait.pd_gains)
+        u_raw = partitioned_torque(terms.D, terms.H, dw[0] - v[0], dw[1] - v[1])
         u = np.clip(u_raw, -gait.u_max, gait.u_max)
-        (ddq,) = solve_ddq(terms.D.tolist(), [(terms.B @ u - terms.H).tolist()])
+        (ddq,) = solve_ddq(terms.D, [(np.array(B_SS) @ u - np.array(terms.H)).tolist()])
         assert smp.V == V and smp.Gamma == Gamma
         assert np.array_equal(smp.u_raw, u_raw) and np.array_equal(smp.u, u)
         assert np.array_equal(smp.ddq, ddq)

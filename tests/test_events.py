@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from thrusterbiped.dynamics import (
-    contact_kinematics,
-    energies,
-    ext_dynamics,
-    extend_pinned_state,
-)
+from conftest import contact_arrays, ext_arrays
+from thrusterbiped.dynamics import energies, extend_pinned_state
 from thrusterbiped.errors import EventLocationError, SingularImpactError
 from thrusterbiped.events import (
     RELABEL_Q,
@@ -45,7 +41,7 @@ def test_guard_equals_swing_foot_height(params, rng):
         q = rng.uniform(-0.6, 0.6, size=3)
         x = np.concatenate([q, rng.uniform(-1, 1, size=3)])
         q_e, dq_e = extend_pinned_state(q, x[3:], np.zeros(2), params)
-        p2 = contact_kinematics(q_e, dq_e, params).p2
+        _, p2, _, _ = contact_arrays(q_e, dq_e, params)
         assert abs(touchdown_guard(x, params) - p2[1]) < 1e-12
 
 
@@ -55,8 +51,8 @@ def test_descent_rate_equals_contact_jacobian_row(params, rng):
         dq = rng.uniform(-2, 2, size=3)
         x = np.concatenate([q, dq])
         q_e, dq_e = extend_pinned_state(q, dq, np.zeros(2), params)
-        ck = contact_kinematics(q_e, dq_e, params)
-        assert abs(swing_foot_descending(x, params) - ck.J[3] @ dq_e) < 1e-12
+        _, _, J, _ = contact_arrays(q_e, dq_e, params)
+        assert abs(swing_foot_descending(x, params) - J[3] @ dq_e) < 1e-12
 
 
 def test_locate_event_linear_guard():
@@ -101,8 +97,8 @@ def test_impact_matches_velocity_projection(params, rng):
     for _ in range(1000):
         q_e, dq_e = impact_state(rng, params)
         res = impact_map(q_e, dq_e, params)
-        D = ext_dynamics(q_e, dq_e, params).D
-        J = contact_kinematics(q_e, dq_e, params).J
+        D, _ = ext_arrays(q_e, dq_e, params)
+        _, _, J, _ = contact_arrays(q_e, dq_e, params)
         dq_plus, lam = oracles.impact_projection(D, J, dq_e)
         assert np.max(np.abs(res.dq_e_plus - dq_plus)) < 1e-9
         assert np.max(np.abs(res.lambda_imp - lam)) < 1e-9
@@ -121,7 +117,7 @@ def test_impact_zeroes_both_foot_velocities(params, rng):
     for _ in range(200):
         q_e, dq_e = impact_state(rng, params)
         res = impact_map(q_e, dq_e, params)
-        J = contact_kinematics(q_e, dq_e, params).J
+        _, _, J, _ = contact_arrays(q_e, dq_e, params)
         assert np.max(np.abs(J @ res.dq_e_plus)) < 1e-9
 
 
@@ -129,8 +125,8 @@ def test_impact_impulse_balances_momentum_change(params, rng):
     for _ in range(200):
         q_e, dq_e = impact_state(rng, params)
         res = impact_map(q_e, dq_e, params)
-        D = ext_dynamics(q_e, dq_e, params).D
-        J = contact_kinematics(q_e, dq_e, params).J
+        D, _ = ext_arrays(q_e, dq_e, params)
+        _, _, J, _ = contact_arrays(q_e, dq_e, params)
         gap = D @ (res.dq_e_plus - dq_e) - J.T @ res.lambda_imp
         assert np.max(np.abs(gap)) < 1e-9
 
@@ -150,6 +146,15 @@ def test_impact_rejects_nearly_collinear_legs(params):
         np.zeros(2), params)
     with pytest.raises(SingularImpactError):
         impact_map(q_e, dq_e, params)
+
+
+@pytest.mark.parametrize("name", ["q_e", "dq_e"])
+def test_impact_map_rejects_non_finite_states(params, name):
+    for bad in (np.nan, np.inf):
+        state = {"q_e": np.zeros(5), "dq_e": np.zeros(5)}
+        state[name][3] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+            impact_map(state["q_e"], state["dq_e"], params)
 
 
 def test_impact_states_stay_clear_of_the_collinear_guard(params, rng):
@@ -172,19 +177,19 @@ def test_relabel_is_an_involution(params, rng):
 def test_relabel_swaps_leg_roles(params, rng):
     for _ in range(50):
         q_e, dq_e = impact_state(rng, params)
-        ck = contact_kinematics(q_e, dq_e, params)
+        p1, p2, J, _ = contact_arrays(q_e, dq_e, params)
         q2, dq2 = relabel(q_e, dq_e)
-        ck2 = contact_kinematics(q2, dq2, params)
+        p1_new, p2_new, J_new, _ = contact_arrays(q2, dq2, params)
         # foot positions trade places, the hip stays put
-        assert np.max(np.abs(ck2.p1 - ck.p2)) < 1e-10
-        assert np.max(np.abs(ck2.p2 - ck.p1)) < 1e-10
+        assert np.max(np.abs(p1_new - p2)) < 1e-10
+        assert np.max(np.abs(p2_new - p1)) < 1e-10
         assert np.array_equal(q2[3:], q_e[3:])
         assert np.array_equal(dq2[3:], dq_e[3:])
         # absolute link angles are preserved under the swap
         assert abs(q2[0] - (q_e[0] + q_e[1])) < 1e-15
         assert abs((q2[0] + q2[1] + q2[2]) - (q_e[0] + q_e[1] + q_e[2])) < 1e-15
         # foot velocities trade places as well
-        v = (ck.J @ dq_e).reshape(2, 2)
-        v2 = (ck2.J @ dq2).reshape(2, 2)
+        v = (J @ dq_e).reshape(2, 2)
+        v2 = (J_new @ dq2).reshape(2, 2)
         assert np.max(np.abs(v2[0] - v[1])) < 1e-10
         assert np.max(np.abs(v2[1] - v[0])) < 1e-10
