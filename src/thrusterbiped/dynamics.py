@@ -133,12 +133,12 @@ def ext_dynamics(q_e, dq_e, params: ModelParams):
     """D (rows), H and the thrust direction of the unpinned 5-DOF model.
 
     The hip position is appended to q; the joint torques act on the q2 and
-    q3 rows.  Takes and returns Python floats; the caller has checked the
-    state finite.  The thrust direction (sin, -cos of the absolute torso angle) is
+    q3 rows.  Takes and returns Python floats; a non-finite entry raises
+    ValueError.  The thrust direction (sin, -cos of the absolute torso angle) is
     the hip-translation part of the thrust column of the input matrix.
     """
-    q1, q2, q3, _, _ = q_e
-    dq1, dq2, dq3, _, _ = dq_e
+    q1, q2, q3, _, _ = _finite("q_e", q_e)
+    dq1, dq2, dq3, _, _ = _finite("dq_e", dq_e)
     mh, mT, mk = params.m_h, params.m_T, params.m_k
     l, lT = params.l, params.l_T
     lh = 0.5 * l
@@ -187,15 +187,15 @@ def ext_dynamics(q_e, dq_e, params: ModelParams):
 def contact_kinematics(q_e, dq_e, params: ModelParams):
     """Foot positions p1, p2, J's leg block and J's velocity-product term.
 
-    Python floats in and out; the caller has checked the state finite.  J
+    Python floats in and out; a non-finite entry raises ValueError.  J
     stacks the rows (p1_x, p1_y, p2_x, p2_y) of both feet.  Its leg block,
     the columns of q1 and q2, comes row by row as (a00, a01, ..., a31), the
     form `contact_solve` takes: no foot moves with the torso, and each foot
     moves one-to-one with the hip, so the other three columns are fixed.
     The velocity-product term is d(J qdot)/dt - J qddot of the four rows.
     """
-    q1, q2, _, xh, yh = q_e
-    dq1, dq2, _, _, _ = dq_e
+    q1, q2, _, xh, yh = _finite("q_e", q_e)
+    dq1, dq2, _, _, _ = _finite("dq_e", dq_e)
     l = params.l
     s1, c1 = sin(q1), cos(q1)
     s12, c12 = sin(q1 + q2), cos(q1 + q2)
@@ -236,8 +236,7 @@ def energies(
     elif model == "extended":
         if q.shape != (5,):
             raise ValueError("extended energies expect 5 coordinates")
-        D, _, _ = ext_dynamics(_finite("q_e", q.tolist()),
-                               _finite("dq_e", dq.tolist()), params)
+        D, _, _ = ext_dynamics(q.tolist(), dq.tolist(), params)
         c1 = cos(q[0])
         c12 = cos(q[0] + q[1])
         c123 = cos(q[0] + q[1] + q[2])

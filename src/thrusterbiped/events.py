@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _finite, contact_kinematics, contact_solve, ext_dynamics
+from .dynamics import contact_kinematics, contact_solve, ext_dynamics
 from .errors import EventLocationError, SingularContactError, SingularImpactError
 from .params import ModelParams
 
@@ -114,8 +114,8 @@ def impact_map(q_e: np.ndarray, dq_e: np.ndarray, params: ModelParams) -> Impact
     ``[[D_e, -J^T], [J, 0]] [dq+; Lambda] = [D_e dq-; 0]``.
     """
     dq_e = np.asarray(dq_e, dtype=float)
-    q = _finite("q_e", np.asarray(q_e, dtype=float).tolist())
-    dq = _finite("dq_e", dq_e.tolist())
+    q = np.asarray(q_e, dtype=float).tolist()
+    dq = dq_e.tolist()
     D, _, _ = ext_dynamics(q, dq, params)
     _, _, legs, _ = contact_kinematics(q, dq, params)
     # the momentum D_e dq- as numpy's matrix-vector product rounds it

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _finite, contact_kinematics, contact_solve, ext_dynamics
+from .dynamics import contact_kinematics, contact_solve, ext_dynamics
 from .params import ModelParams
 from .qp import INFEASIBLE, OPTIMAL, QpSolution, solve_qp
 
@@ -65,8 +65,8 @@ def _ds_system(vals: list[float], params: ModelParams):
     contact right-hand side -Jdot qdot - d J qdot, whose damping at rate
     `params.d` keeps long integrations on the contact manifold.
     """
-    q = _finite("q_e", vals[:5])
-    dq = _finite("dq_e", vals[5:])
+    q = vals[:5]
+    dq = vals[5:]
     D, H, thrust = ext_dynamics(q, dq, params)
     _, _, legs, jdq = contact_kinematics(q, dq, params)
     j0, _, j1, _, j2, _, j3, _ = legs

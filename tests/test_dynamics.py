@@ -85,6 +85,16 @@ def test_ss_dynamics_rejects_non_finite_states(params, name):
         ss_dynamics(state["q"], state["dq"], params)
 
 
+@pytest.mark.parametrize("fn", [ext_dynamics, contact_kinematics])
+@pytest.mark.parametrize("name", ["q_e", "dq_e"])
+def test_extended_terms_reject_non_finite_states(params, fn, name):
+    for bad in (float("nan"), float("inf")):
+        state = {"q_e": [0.0] * 5, "dq_e": [0.0] * 5}
+        state[name][3] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+            fn(state["q_e"], state["dq_e"], params)
+
+
 def test_solve_ddq_rejects_a_singular_mass_matrix():
     D = np.ones((3, 3)).tolist()  # rank one, determinant exactly zero
     with pytest.raises(SingularDynamicsError):
